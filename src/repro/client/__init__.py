@@ -32,68 +32,30 @@ And with read replicas running (:mod:`repro.replication`),
 ``connect(primary, replicas=[...])`` returns a :class:`RoutedClient`
 that sends writes to the primary and fans reads out across the
 replicas with read-your-writes intact.
+
+The package is split along its seams: :mod:`repro.client.session`
+(:class:`Client`, :class:`RemoteTransaction`, :class:`RemotePrepared`),
+:mod:`repro.client.routed` (:class:`RoutedClient`,
+:class:`RoutedPrepared`, leader election) and
+:mod:`repro.client.results` (:class:`RemoteResult`,
+:class:`RemoteExplanation`); everything public is importable from
+here.
 """
 
 from __future__ import annotations
 
-import socket
-from typing import (Any, Callable, Iterator, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Mapping, Optional, Sequence, Union
 
-from repro import faults as faults_mod
+from repro.client.results import RemoteExplanation, RemoteResult
+from repro.client.routed import RoutedClient, RoutedPrepared
+from repro.client.session import (Address, Client, RemotePrepared,
+                                  RemoteTransaction)
 from repro.core.domains import ValueDomain
-from repro.core.errors import (ConnectionLostError, FencedError, HRDMError,
-                               PromotionError, QueryError, ReplicaLagError,
-                               StorageError)
-from repro.core.lifespan import Lifespan
-from repro.core.relation import HistoricalRelation
-from repro.core.scheme import RelationScheme
-from repro.core.tuples import HistoricalTuple
-from repro.server import protocol
-from repro.storage import pager as pager_mod
+from repro.server.protocol import parse_address
 
 __all__ = ["Client", "RemoteExplanation", "RemoteResult",
            "RemotePrepared", "RemoteTransaction", "RoutedClient",
            "RoutedPrepared", "connect"]
-
-#: An address in any of the shapes connect() accepts.
-Address = Union[str, Tuple[str, int]]
-
-#: Frames safe to re-send verbatim after a transparent reconnect: pure
-#: reads, session handshakes, PREPARE (re-parsing is harmless), BEGIN
-#: (the dropped connection's empty transaction died with it), and
-#: FLUSH (syncing twice syncs once). Mutating frames are excluded —
-#: their first send may have committed before the drop.
-_IDEMPOTENT_OPS = frozenset({
-    "hello", "status", "query", "relations", "relation", "prepare",
-    "begin", "flush",
-})
-
-#: Ceiling on one failover-rediscovery STATUS probe when the session
-#: itself has no timeout: a candidate that accepts the connection but
-#: never replies must not stall the election (see
-#: :meth:`RoutedClient.rediscover`).
-_PROBE_TIMEOUT = 2.0
-
-
-def _parse_hostport(address: Address,
-                    port: Optional[int] = None) -> Tuple[str, int]:
-    if isinstance(address, tuple):
-        host, port = address
-    elif port is None:
-        host, _, port_text = address.rpartition(":")
-        if not host:
-            raise StorageError(
-                f"connect() needs HOST:PORT, got {address!r}")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise StorageError(
-                f"connect() needs a numeric port, got {port_text!r}"
-            ) from None
-    else:
-        host = address
-    return host, int(port)
 
 
 def connect(address: Address,
@@ -122,1106 +84,9 @@ def connect(address: Address,
     down — is skipped in favor of the next one, and finally of the
     primary itself, so routed reads degrade rather than fail.
     """
-    host, port = _parse_hostport(address, port)
+    host, port = parse_address(address, port)
     if replicas:
         return RoutedClient(
-            (host, port), [_parse_hostport(r) for r in replicas],
+            (host, port), [parse_address(r) for r in replicas],
             timeout=timeout, domains=domains, replica_wait=replica_wait)
     return Client(host, port, timeout=timeout, domains=domains)
-
-
-class RemoteExplanation:
-    """An ``EXPLAIN [ANALYZE]`` answer rendered by the server.
-
-    Only the rendering crosses the wire — the physical plan objects
-    stay server-side — so this mirrors just the displayable part of
-    :class:`~repro.planner.explain.PlanExplanation`.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def __str__(self) -> str:
-        return self.text
-
-    def __repr__(self) -> str:
-        return f"RemoteExplanation({self.text.splitlines()[0]!r}...)"
-
-
-class RemoteResult:
-    """One remote query answer — the wire twin of
-    :class:`~repro.database.result.QueryResult`.
-
-    Same ``kind`` tag, same typed accessors, same delegating dunders;
-    ``relation`` / ``lifespan`` answers are real model objects, while
-    ``plan`` answers carry the server-rendered
-    :class:`RemoteExplanation`.
-    """
-
-    __slots__ = ("kind", "_value")
-
-    def __init__(self, value):
-        if isinstance(value, RemoteExplanation):
-            self.kind = "plan"
-        elif isinstance(value, Lifespan):
-            self.kind = "lifespan"
-        elif isinstance(value, HistoricalRelation):
-            self.kind = "relation"
-        else:  # pragma: no cover - guarded by the protocol decoder
-            raise QueryError(f"not a query result value: {value!r}")
-        self._value = value
-
-    @property
-    def value(self):
-        """The raw underlying answer."""
-        return self._value
-
-    @property
-    def relation(self) -> HistoricalRelation:
-        """The relation answer; raises unless ``kind == "relation"``."""
-        if self.kind != "relation":
-            raise QueryError(f"result is a {self.kind}, not a relation")
-        return self._value
-
-    @property
-    def lifespan(self) -> Lifespan:
-        """The lifespan answer of a top-level ``WHEN`` query."""
-        if self.kind != "lifespan":
-            raise QueryError(f"result is a {self.kind}, not a lifespan")
-        return self._value
-
-    @property
-    def explanation(self) -> RemoteExplanation:
-        """The ``EXPLAIN [ANALYZE]`` rendering; ``kind == "plan"`` only."""
-        if self.kind != "plan":
-            raise QueryError(f"result is a {self.kind}, not a plan explanation")
-        return self._value
-
-    def rows(self) -> list[HistoricalTuple]:
-        """The answer's historical tuples, as a list."""
-        return list(self.relation)
-
-    def snapshot(self, at: int) -> list[dict[str, Any]]:
-        """The classical (flat) view of the relation answer at *at*."""
-        return self.relation.snapshot(at)
-
-    def __iter__(self) -> Iterator:
-        if self.kind == "plan":
-            raise QueryError("a plan explanation is not iterable")
-        return iter(self._value)
-
-    def __len__(self) -> int:
-        if self.kind == "plan":
-            raise QueryError("a plan explanation has no length")
-        return len(self._value)
-
-    def __bool__(self) -> bool:
-        return True if self.kind == "plan" else bool(self._value)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RemoteResult):
-            return self._value == other._value
-        if hasattr(other, "value"):  # a QueryResult
-            return self._value == other.value
-        return self._value == other
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __str__(self) -> str:
-        return str(self._value)
-
-    def __repr__(self) -> str:
-        return f"RemoteResult({self.kind}, {self._value!r})"
-
-
-class Client:
-    """One session with a database server (see :func:`connect`)."""
-
-    #: Lets generic callers (the HRQL shell) tell a remote catalog from
-    #: an embedded one where the difference matters (it rarely does).
-    remote = True
-
-    def __init__(self, host: str, port: int, *,
-                 timeout: Optional[float] = None,
-                 domains: Optional[Mapping[str, ValueDomain]] = None):
-        self._domains = dict(domains or {})
-        self._host, self._port, self._timeout = host, int(port), timeout
-        self._address = (host, int(port))
-        self._sock: Optional[socket.socket] = None
-        self._buffer = bytearray()
-        self._closed = False
-        self._txn_active = False
-        #: Bumped on every connection loss. Session state living on the
-        #: server's side of the socket (prepared statements, an open
-        #: transaction) dies with the connection; objects holding onto
-        #: it compare their birth epoch against this to notice.
-        self._epoch = 0
-        #: The LSN of this session's last acknowledged write — the
-        #: read-your-writes token a routed read hands to a replica.
-        self.last_commit_lsn = 0
-        #: The highest replication fencing epoch any response carried.
-        #: Distinct from ``_epoch`` (the connection generation above):
-        #: this one identifies *which primacy* the session has seen,
-        #: and rises when a failover promotes a replica
-        #: (:meth:`RoutedClient.rediscover` picks the writable server
-        #: with the highest one).
-        self.cluster_epoch = 0
-        #: The server's database name.
-        self.name: str = ""
-        #: True when the served database is durable (``\\checkpoint`` works).
-        self.durable: bool = False
-        #: "primary" or "replica" (read-only), from the HELLO frame.
-        self.role: str = "primary"
-        self._dial()
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _dial(self) -> None:
-        """Connect and shake hands; the socket is live on return."""
-        faults_mod.fault_connect("client")
-        sock = faults_mod.wrap_socket(
-            socket.create_connection((self._host, self._port),
-                                     timeout=self._timeout), "client")
-        self._sock = sock
-        self._buffer.clear()
-        try:
-            protocol.send_frame(sock, {"op": "hello",
-                                       "client": "repro-client"})
-            hello = protocol.recv_frame(sock, self._buffer)
-            if hello is None:
-                raise protocol.ProtocolError(
-                    "the server closed the connection during the handshake")
-        except (OSError, protocol.ProtocolError) as exc:
-            self._drop()
-            raise ConnectionLostError(
-                f"handshake with {self._host}:{self._port} failed: {exc}"
-            ) from exc
-        if not hello.get("ok"):
-            raise protocol.error_from_wire(hello)
-        self.name = hello.get("database", "")
-        self.durable = bool(hello.get("durable"))
-        self.role = hello.get("role", "primary")
-        self.cluster_epoch = max(self.cluster_epoch,
-                                 int(hello.get("epoch", 0)))
-
-    def _drop(self) -> None:
-        """Forget a dead socket (and the server-side session with it)."""
-        sock, self._sock = self._sock, None
-        self._buffer.clear()
-        self._epoch += 1
-        self._txn_active = False
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - nothing left to release
-                pass
-
-    def _reconnect(self) -> None:
-        try:
-            self._dial()
-        except OSError as exc:
-            raise ConnectionLostError(
-                f"cannot reach the server at {self._host}:{self._port}: "
-                f"{exc}") from exc
-
-    def request(self, payload: Mapping[str, Any]) -> dict:
-        """One round trip: send a frame, receive and check the response.
-
-        Raises the server-reported :class:`HRDMError` subclass on an
-        ERROR frame. A dropped connection is transient, not fatal: the
-        client reconnects, and idempotent frames (reads, PREPARE,
-        BEGIN, FLUSH) are retried once transparently. A mutating frame
-        caught mid-drop instead surfaces the retryable
-        :class:`~repro.core.errors.ConnectionLostError` — its fate is
-        unknown (the write may have committed just before the drop),
-        so only the caller can decide whether re-running is safe.
-        """
-        if self._closed:
-            raise StorageError("the client connection has been closed")
-        op = payload.get("op")
-        for attempt in (0, 1):
-            if self._sock is None:
-                self._reconnect()
-            try:
-                protocol.send_frame(self._sock, payload)
-                response = protocol.recv_frame(self._sock, self._buffer)
-                if response is None:
-                    raise protocol.ProtocolError(
-                        "the server closed the connection")
-            except (OSError, protocol.ProtocolError) as exc:
-                self._drop()
-                if attempt == 0 and op in _IDEMPOTENT_OPS:
-                    continue
-                raise ConnectionLostError(
-                    f"connection to {self._host}:{self._port} was lost "
-                    f"mid-{op}: {exc}") from exc
-            if not response.get("ok"):
-                raise protocol.error_from_wire(response)
-            epoch = response.get("epoch")
-            if epoch is not None:
-                self.cluster_epoch = max(self.cluster_epoch, int(epoch))
-            lsn = response.get("lsn")
-            if lsn is not None and op in ("execute", "commit"):
-                self.last_commit_lsn = max(self.last_commit_lsn, int(lsn))
-            return response
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def close(self) -> None:
-        """Close the session socket (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:  # pragma: no cover - nothing to release
-                    pass
-                self._sock = None
-
-    def __enter__(self) -> "Client":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    # -- querying -----------------------------------------------------------
-
-    @staticmethod
-    def _with_wait(payload: dict, wait_lsn: Optional[int],
-                   wait_timeout: Optional[float]) -> dict:
-        """Attach a read-your-writes token to a read frame.
-
-        A replica holds the read until its applied LSN covers
-        *wait_lsn*, raising the retryable
-        :class:`~repro.core.errors.ReplicaLagError` after *wait_timeout*
-        seconds; a primary satisfies any token trivially. A zero/None
-        token (no writes this session) needs no waiting at all.
-        """
-        if wait_lsn:
-            payload["wait_lsn"] = int(wait_lsn)
-            if wait_timeout is not None:
-                payload["wait_timeout"] = wait_timeout
-        return payload
-
-    def query(self, source: str,
-              params: Optional[Mapping[str, Any]] = None, *,
-              wait_lsn: Optional[int] = None,
-              wait_timeout: Optional[float] = None) -> RemoteResult:
-        """Run an HRQL statement on the server; typed result.
-
-        Mirrors :meth:`HistoricalDatabase.query`: *source* is HRQL
-        text (``EXPLAIN [ANALYZE]`` included), *params* binds ``:name``
-        parameters server-side through the same machinery. *wait_lsn*
-        (usually another client's :attr:`last_commit_lsn`) makes a
-        replica hold the read until it has applied that far — see
-        :meth:`_with_wait`.
-        """
-        payload: dict[str, Any] = {"op": "query", "q": source}
-        if params:
-            payload["params"] = dict(params)
-        self._with_wait(payload, wait_lsn, wait_timeout)
-        return self._decode_result(self.request(payload))
-
-    def prepare(self, source: str) -> "RemotePrepared":
-        """Parse *source* once server-side, for repeated runs."""
-        response = self.request({"op": "prepare", "q": source})
-        return RemotePrepared(self, response["id"], source,
-                              tuple(response["params"]))
-
-    def status(self) -> dict:
-        """The server's STATUS frame: role, database, current
-        ``(generation, lsn)`` position, and — on a primary — the
-        per-replica lag table; on a replica, its primary link health."""
-        return self.request({"op": "status"})
-
-    def _decode_result(self, response: Mapping) -> RemoteResult:
-        kind = response.get("kind")
-        if kind == "relation":
-            return RemoteResult(
-                protocol.relation_from_wire(response, self._domains))
-        if kind == "lifespan":
-            return RemoteResult(
-                protocol.lifespan_from_wire(response["lifespan"]))
-        if kind == "plan":
-            return RemoteResult(RemoteExplanation(response["text"]))
-        raise protocol.ProtocolError(f"unknown result kind {kind!r}")
-
-    # -- mutations (the HistoricalDatabase surface) -------------------------
-
-    def _tuple_of(self, response: Mapping) -> HistoricalTuple:
-        scheme = pager_mod.scheme_from_dict(response["scheme"], self._domains)
-        return protocol.tuple_from_wire(response["tuple"], scheme)
-
-    def insert(self, name: str, lifespan: Lifespan,
-               values: Mapping[str, Any]) -> HistoricalTuple:
-        """Insert a new object (see :meth:`HistoricalDatabase.insert`)."""
-        return self._tuple_of(self.request({
-            "op": "execute", "action": "insert", "relation": name,
-            "lifespan": protocol.lifespan_to_wire(lifespan),
-            "values": dict(values),
-        }))
-
-    def update(self, name: str, key: tuple, at: int,
-               changes: Mapping[str, Any]) -> HistoricalTuple:
-        """New values from *at* on (see :meth:`HistoricalDatabase.update`)."""
-        return self._tuple_of(self.request({
-            "op": "execute", "action": "update", "relation": name,
-            "key": list(key), "at": at, "changes": dict(changes),
-        }))
-
-    def terminate(self, name: str, key: tuple, at: int) -> HistoricalTuple:
-        """End an incarnation (see :meth:`HistoricalDatabase.terminate`)."""
-        return self._tuple_of(self.request({
-            "op": "execute", "action": "terminate", "relation": name,
-            "key": list(key), "at": at,
-        }))
-
-    def reincarnate(self, name: str, key: tuple, lifespan: Lifespan,
-                    values: Mapping[str, Any]) -> HistoricalTuple:
-        """Re-open a history (see :meth:`HistoricalDatabase.reincarnate`)."""
-        return self._tuple_of(self.request({
-            "op": "execute", "action": "reincarnate", "relation": name,
-            "key": list(key),
-            "lifespan": protocol.lifespan_to_wire(lifespan),
-            "values": dict(values),
-        }))
-
-    def evolve_scheme(self, name: str, new_scheme: RelationScheme) -> None:
-        """Install an evolved scheme (see
-        :meth:`HistoricalDatabase.evolve_scheme`)."""
-        self.request({
-            "op": "execute", "action": "evolve", "relation": name,
-            "scheme": pager_mod.scheme_to_dict(new_scheme),
-        })
-
-    def create_relation(self, scheme: RelationScheme, tuples: Any = (), *,
-                        storage: str = "memory", **backend_options) -> None:
-        """Create a relation (see
-        :meth:`HistoricalDatabase.create_relation`)."""
-        self.request({
-            "op": "execute", "action": "create",
-            "scheme": pager_mod.scheme_to_dict(scheme),
-            "tuples": [protocol.tuple_to_wire(t) for t in tuples],
-            "storage": storage, "options": dict(backend_options),
-        })
-
-    def drop_relation(self, name: str) -> None:
-        """Remove a relation (see
-        :meth:`HistoricalDatabase.drop_relation`)."""
-        self.request({"op": "execute", "action": "drop", "relation": name})
-
-    # -- transactions --------------------------------------------------------
-
-    def transaction(self) -> "RemoteTransaction":
-        """Open a server-side buffered transaction for this session.
-
-        Mirrors :meth:`HistoricalDatabase.transaction`: mutations made
-        through the returned session buffer server-side and commit
-        atomically (one WAL record) when the ``with`` block exits —
-        or roll back on any exception.
-
-        The session is snapshot-isolated and optimistic: COMMIT can
-        lose its first-committer-wins race against a concurrent writer
-        and raise the retryable
-        :class:`~repro.core.errors.ConflictError` — the server has
-        already rolled the transaction back, so simply open a new one
-        and re-run (:meth:`run_transaction` wraps that loop).
-        """
-        self.request({"op": "begin"})
-        self._txn_active = True
-        return RemoteTransaction(self)
-
-    def run_transaction(self, body, *, attempts: int = 5):
-        """Run *body* in a remote transaction, retrying on conflicts.
-
-        The wire twin of :meth:`HistoricalDatabase.run_transaction`:
-        *body* receives the open :class:`RemoteTransaction`; a COMMIT
-        that loses its first-committer-wins race
-        (:class:`~repro.core.errors.ConflictError`) is retried against
-        a fresh snapshot up to *attempts* times, then the final
-        conflict propagates. A connection drop *before* COMMIT is also
-        retried — the server rolled the half-built transaction back
-        when the session died, so re-running the body is safe. A drop
-        *during* COMMIT itself is not: the outcome is ambiguous (the
-        commit may have applied just before the drop), so the
-        retryable :class:`~repro.core.errors.ConnectionLostError`
-        propagates for the caller to resolve. Any other exception
-        rolls back and propagates immediately. *body* must be safe to
-        re-run.
-        """
-        from repro.core.errors import ConflictError
-
-        last = max(1, attempts) - 1
-        for attempt in range(max(1, attempts)):
-            try:
-                txn = self.transaction()
-            except ConnectionLostError:
-                if attempt == last:
-                    raise
-                continue
-            try:
-                result = body(txn)
-            except ConnectionLostError:
-                if txn.state == "active":
-                    txn.rollback()  # wire no-op when the session is gone
-                if attempt == last:
-                    raise
-                continue
-            except BaseException:
-                if txn.state == "active":
-                    txn.rollback()
-                raise
-            if txn.state != "active":  # body finished the session itself
-                return result
-            try:
-                txn.commit()
-            except ConflictError:
-                if attempt == last:
-                    raise
-                continue
-            return result
-
-    # -- failover ------------------------------------------------------------
-
-    def promote(self) -> int:
-        """Promote the connected replica to primary; the new epoch.
-
-        The wire form of
-        :meth:`repro.replication.ReplicaServer.promote` — only a
-        replica server accepts it
-        (:class:`~repro.core.errors.PromotionError` otherwise). After
-        a successful promotion this same connection takes writes.
-        """
-        epoch = int(self.request({"op": "promote"})["epoch"])
-        self.role = "primary"
-        self.cluster_epoch = max(self.cluster_epoch, epoch)
-        return epoch
-
-    # -- durability ----------------------------------------------------------
-
-    def checkpoint(self) -> int:
-        """Snapshot + truncate the server's WAL; returns the generation."""
-        return self.request({"op": "checkpoint"})["generation"]
-
-    def flush(self) -> None:
-        """Force the server's acknowledged commits to stable storage."""
-        self.request({"op": "flush"})
-
-    # -- catalog introspection (the shell's surface) -------------------------
-
-    def relations_info(self, *, wait_lsn: Optional[int] = None,
-                       wait_timeout: Optional[float] = None) -> list[dict]:
-        """Per-relation summaries: name, tuple count, lifespan, storage."""
-        summaries = self.request(self._with_wait(
-            {"op": "relations"}, wait_lsn, wait_timeout))["relations"]
-        for summary in summaries:
-            summary["lifespan"] = protocol.lifespan_from_wire(
-                summary["lifespan"])
-        return summaries
-
-    def relation(self, name: str, *, wait_lsn: Optional[int] = None,
-                 wait_timeout: Optional[float] = None) -> HistoricalRelation:
-        """Fetch the named relation's full current value."""
-        response = self.request(self._with_wait(
-            {"op": "relation", "name": name}, wait_lsn, wait_timeout))
-        return protocol.relation_from_wire(response, self._domains)
-
-    def storage(self, name: str, *, wait_lsn: Optional[int] = None,
-                wait_timeout: Optional[float] = None) -> str:
-        """The storage kind of the named relation ("memory" or "disk")."""
-        response = self.request(self._with_wait(
-            {"op": "relation", "name": name}, wait_lsn, wait_timeout))
-        return response["storage"]
-
-    def __getitem__(self, name: str) -> HistoricalRelation:
-        return self.relation(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(summary["name"] for summary in self.relations_info())
-
-    def __len__(self) -> int:
-        return len(self.relations_info())
-
-    def __contains__(self, name: object) -> bool:
-        return any(summary["name"] == name
-                   for summary in self.relations_info())
-
-    def __repr__(self) -> str:
-        host, port = self._address
-        state = "closed" if self._closed else "open"
-        return f"Client({self.name!r} at {host}:{port}, {state})"
-
-
-class RemotePrepared:
-    """A statement parsed (and plan-cached) server-side.
-
-    Survives reconnects: the server-side statement dies with its
-    connection, so a run that finds the client's epoch has moved
-    re-sends PREPARE transparently before executing.
-    """
-
-    def __init__(self, client: Client, statement_id: int, source: str,
-                 param_names: Tuple[str, ...]):
-        self._client = client
-        self._id = statement_id
-        self._epoch = client._epoch
-        self.source = source
-        #: The ``:name`` parameters the statement expects.
-        self.param_names = param_names
-
-    def query(self, params: Optional[Mapping[str, Any]] = None, *,
-              wait_lsn: Optional[int] = None,
-              wait_timeout: Optional[float] = None) -> RemoteResult:
-        """Bind and run the prepared statement; typed result."""
-        for attempt in (0, 1):
-            if self._epoch != self._client._epoch:
-                self._reprepare()
-            payload: dict[str, Any] = {"op": "query", "prepared": self._id}
-            if params:
-                payload["params"] = dict(params)
-            Client._with_wait(payload, wait_lsn, wait_timeout)
-            try:
-                return self._client._decode_result(
-                    self._client.request(payload))
-            except protocol.ProtocolError:
-                # The request was transparently retried over a fresh
-                # connection, where this statement id no longer exists.
-                if attempt == 0 and self._epoch != self._client._epoch:
-                    continue
-                raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _reprepare(self) -> None:
-        response = self._client.request({"op": "prepare", "q": self.source})
-        self._id = response["id"]
-        self._epoch = self._client._epoch
-
-    def __repr__(self) -> str:
-        names = ", ".join(f":{n}" for n in self.param_names) or "no parameters"
-        return f"RemotePrepared({self.source!r}, {names})"
-
-
-class RemoteTransaction:
-    """A server-side buffered transaction driven over the wire.
-
-    The buffering (and the commit-time validation, constraint sweep,
-    batching, and atomic rollback) all happen in the server's
-    :class:`~repro.database.session.Transaction`; this object just
-    routes the same mutation calls through the open session. A commit
-    that loses its first-committer-wins race raises the retryable
-    :class:`~repro.core.errors.ConflictError` with the session already
-    rolled back server-side — see :meth:`Client.run_transaction`.
-    """
-
-    def __init__(self, client: Client):
-        self._client = client
-        self._epoch = client._epoch
-        self._state = "active"
-
-    @property
-    def state(self) -> str:
-        """"active", "committed", or "rolled-back"."""
-        return self._state
-
-    def __enter__(self) -> "RemoteTransaction":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            if self._state == "active":
-                self.rollback()
-            return False
-        if self._state == "active":
-            self.commit()
-        return False
-
-    def commit(self) -> None:
-        """Validate and apply every buffered change atomically on the
-        server; raises :class:`~repro.core.errors.ConflictError` (state
-        already rolled back) on a lost first-committer-wins race."""
-        self._finish("commit")
-
-    def rollback(self) -> None:
-        """Discard every buffered change."""
-        self._finish("rollback")
-
-    def _finish(self, op: str) -> None:
-        if self._state != "active":
-            from repro.core.errors import TransactionError
-
-            raise TransactionError(f"transaction already {self._state}")
-        if self._epoch != self._client._epoch:
-            # The connection died under this transaction; the server
-            # rolled its buffered changes back when the session ended.
-            # A rollback is therefore already done; a commit was lost
-            # before it was ever sent.
-            self._state = "rolled-back"
-            if op == "commit":
-                raise ConnectionLostError(
-                    "the connection dropped before COMMIT was sent; the "
-                    "server rolled the transaction back — re-run it")
-            return
-        try:
-            self._client.request({"op": op})
-        except ConnectionLostError:
-            # The drop itself tore the server-side session down. For a
-            # rollback that *is* the requested outcome; for a commit
-            # the outcome is ambiguous (the frame may have applied
-            # before the drop), so surface it.
-            self._state = "rolled-back"
-            if op == "commit":
-                raise
-            return
-        except HRDMError:
-            self._state = "rolled-back"
-            self._client._txn_active = False
-            raise
-        self._state = "committed" if op == "commit" else "rolled-back"
-        self._client._txn_active = False
-
-    def _ensure_active(self) -> None:
-        if self._state != "active":
-            from repro.core.errors import TransactionError
-
-            raise TransactionError(f"transaction already {self._state}")
-        if self._epoch != self._client._epoch:
-            self._state = "rolled-back"
-            raise ConnectionLostError(
-                "the connection dropped mid-transaction; the server "
-                "rolled its buffered changes back — open a new "
-                "transaction and re-run")
-
-    def insert(self, name: str, lifespan: Lifespan,
-               values: Mapping[str, Any]) -> HistoricalTuple:
-        """Buffer a birth (see :meth:`Transaction.insert`)."""
-        self._ensure_active()
-        return self._client.insert(name, lifespan, values)
-
-    def update(self, name: str, key: tuple, at: int,
-               changes: Mapping[str, Any]) -> HistoricalTuple:
-        """Buffer new values (see :meth:`Transaction.update`)."""
-        self._ensure_active()
-        return self._client.update(name, key, at, changes)
-
-    def terminate(self, name: str, key: tuple, at: int) -> HistoricalTuple:
-        """Buffer a death (see :meth:`Transaction.terminate`)."""
-        self._ensure_active()
-        return self._client.terminate(name, key, at)
-
-    def reincarnate(self, name: str, key: tuple, lifespan: Lifespan,
-                    values: Mapping[str, Any]) -> HistoricalTuple:
-        """Buffer a rebirth (see :meth:`Transaction.reincarnate`)."""
-        self._ensure_active()
-        return self._client.reincarnate(name, key, lifespan, values)
-
-    def evolve_scheme(self, name: str, new_scheme: RelationScheme) -> None:
-        """Buffer a schema evolution (see
-        :meth:`Transaction.evolve_scheme`)."""
-        self._ensure_active()
-        self._client.evolve_scheme(name, new_scheme)
-
-    def __repr__(self) -> str:
-        return f"RemoteTransaction({self._state})"
-
-
-class RoutedClient:
-    """A replica-aware session: writes to the primary, reads fanned out.
-
-    Mirrors the :class:`Client` surface so the shell and application
-    code stay oblivious. Mutations, transactions, DDL, and durability
-    frames always go to the primary; ``query()`` and catalog reads
-    round-robin across the replicas. Every routed read carries the
-    primary session's :attr:`~Client.last_commit_lsn` as a
-    read-your-writes token — the replica holds the read until its
-    applier covers that LSN, so this session always sees its own
-    writes. A replica still short of the token after *replica_wait*
-    seconds (or simply unreachable) is skipped for the next one, and
-    when every replica is out the read runs on the primary itself:
-    routed reads degrade, they do not fail.
-
-    Replica connections are lazy and self-healing — a replica that is
-    down is skipped now and re-dialed on a later read.
-
-    The session also survives **failover**: a write refused with the
-    retryable :class:`~repro.core.errors.FencedError` (the primary's
-    epoch has been superseded) triggers :meth:`rediscover` — every
-    known address is probed and the writable server with the highest
-    fencing epoch becomes the new primary — and the write is re-sent
-    there. A write that dies with
-    :class:`~repro.core.errors.ConnectionLostError` also rediscovers,
-    but re-raises: its fate on the old primary is unknown, so only the
-    caller can decide to re-run. :meth:`promote` drives the planned
-    form: promote a chosen replica, then re-route this session to it.
-    """
-
-    #: Generic callers (the HRQL shell) treat this like any remote catalog.
-    remote = True
-
-    def __init__(self, primary: Tuple[str, int],
-                 replicas: Sequence[Tuple[str, int]], *,
-                 timeout: Optional[float] = None,
-                 domains: Optional[Mapping[str, ValueDomain]] = None,
-                 replica_wait: float = 1.0):
-        #: The write session; also the read of last resort.
-        self.primary = Client(*primary, timeout=timeout, domains=domains)
-        self.replica_wait = replica_wait
-        self._timeout = timeout
-        self._domains = domains
-        self._replicas: list[dict[str, Any]] = [
-            {"address": (host, int(port)), "client": None}
-            for host, port in replicas]
-        self._rr = 0
-        self._closed = False
-
-    # -- the primary's identity, verbatim -----------------------------------
-
-    @property
-    def name(self) -> str:
-        """The served database's name (from the primary)."""
-        return self.primary.name
-
-    @property
-    def durable(self) -> bool:
-        """Whether the primary's database is durable."""
-        return self.primary.durable
-
-    @property
-    def last_commit_lsn(self) -> int:
-        """The session's read-your-writes token (primary-side)."""
-        return self.primary.last_commit_lsn
-
-    @property
-    def replica_addresses(self) -> list[Tuple[str, int]]:
-        """The configured replica addresses, in routing order."""
-        return [entry["address"] for entry in self._replicas]
-
-    def close(self) -> None:
-        """Close every connection (idempotent)."""
-        self._closed = True
-        for entry in self._replicas:
-            if entry["client"] is not None:
-                entry["client"].close()
-                entry["client"] = None
-        self.primary.close()
-
-    def __enter__(self) -> "RoutedClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    # -- read routing --------------------------------------------------------
-
-    def _read_targets(self) -> Iterator[Client]:
-        """Replica sessions in round-robin order.
-
-        A replica whose connection previously failed is re-dialed
-        here; one that is unreachable right now is skipped (and tried
-        again on a later read).
-        """
-        count = len(self._replicas)
-        if count:
-            start, self._rr = self._rr, (self._rr + 1) % count
-        for offset in range(count):
-            entry = self._replicas[(start + offset) % count]
-            client = entry["client"]
-            if client is None or client._closed:
-                try:
-                    client = Client(*entry["address"], timeout=self._timeout,
-                                    domains=self._domains)
-                except (OSError, HRDMError):
-                    continue
-                entry["client"] = client
-            yield client
-
-    def _routed(self, read: Callable[[Client, Optional[int],
-                                      Optional[float]], Any]) -> Any:
-        """Run *read* on the next live replica, else on the primary.
-
-        *read* is called as ``read(client, wait_lsn, wait_timeout)``;
-        lag past the token and connection loss both mean "try the next
-        one". The primary fallback drops the token — the primary is
-        the token's source, so it trivially covers it.
-        """
-        token = self.primary.last_commit_lsn
-        for client in self._read_targets():
-            try:
-                return read(client, token, self.replica_wait)
-            except (ReplicaLagError, ConnectionLostError):
-                continue
-        return read(self.primary, None, None)
-
-    def query(self, source: str,
-              params: Optional[Mapping[str, Any]] = None) -> RemoteResult:
-        """Run a read on a replica (see :meth:`Client.query`).
-
-        Note that HRQL is read-only — every statement is routable."""
-        return self._routed(lambda c, lsn, t: c.query(
-            source, params, wait_lsn=lsn, wait_timeout=t))
-
-    def prepare(self, source: str) -> "RoutedPrepared":
-        """Prepare *source* for routed repeated runs."""
-        return RoutedPrepared(self, source)
-
-    def relations_info(self) -> list[dict]:
-        """Per-relation summaries, read from a replica."""
-        return self._routed(lambda c, lsn, t: c.relations_info(
-            wait_lsn=lsn, wait_timeout=t))
-
-    def relation(self, name: str) -> HistoricalRelation:
-        """The named relation's full current value, from a replica."""
-        return self._routed(lambda c, lsn, t: c.relation(
-            name, wait_lsn=lsn, wait_timeout=t))
-
-    def storage(self, name: str) -> str:
-        """The named relation's storage kind, from a replica."""
-        return self._routed(lambda c, lsn, t: c.storage(
-            name, wait_lsn=lsn, wait_timeout=t))
-
-    def status(self) -> dict:
-        """The primary's STATUS frame — includes the per-replica lag
-        table the shell's ``\\replicas`` renders."""
-        return self.primary.status()
-
-    def __getitem__(self, name: str) -> HistoricalRelation:
-        return self.relation(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(summary["name"] for summary in self.relations_info())
-
-    def __len__(self) -> int:
-        return len(self.relations_info())
-
-    def __contains__(self, name: object) -> bool:
-        return any(summary["name"] == name
-                   for summary in self.relations_info())
-
-    # -- failover ------------------------------------------------------------
-
-    def rediscover(self) -> bool:
-        """Find the current primary among every address this session knows.
-
-        Probes the configured primary and each replica address with a
-        STATUS frame and elects the **writable server with the highest
-        fencing epoch** — exactly the node a fenced ex-primary's
-        :class:`~repro.core.errors.FencedError` points away from. When
-        the winner differs from the current primary, the session is
-        re-routed: a fresh write connection is opened there, the
-        read-your-writes token is capped at the new primary's position
-        (acknowledged commits the old primary never shipped are not on
-        the surviving timeline), the promoted address leaves the read
-        rotation, and the demoted one joins it (it will serve reads
-        again once rejoined as a replica). Returns True when a writable
-        primary is connected, False when none answered.
-
-        Every probe runs under a bounded timeout even when the session
-        itself has none: rediscovery races an outage, and one node that
-        *accepts* the connection but never answers the STATUS frame (a
-        half-dead server, a wedged promotion) must cost one probe
-        window, not hang the whole election forever.
-        """
-        probe_timeout = (self._timeout if self._timeout is not None
-                         else _PROBE_TIMEOUT)
-        current = self.primary._address
-        candidates: list[Tuple[str, int]] = []
-        for address in [current] + self.replica_addresses:
-            if address not in candidates:
-                candidates.append(address)
-        best: Optional[Tuple[int, int, Tuple[str, int]]] = None
-        for address in candidates:
-            try:
-                probe = Client(*address, timeout=probe_timeout,
-                               domains=self._domains)
-            except (OSError, HRDMError):
-                continue
-            try:
-                status = probe.status()
-            except (OSError, HRDMError):
-                continue
-            finally:
-                probe.close()
-            writable = (status.get("role") == "primary"
-                        and not status.get("read_only")
-                        and not status.get("fenced"))
-            epoch = int(status.get("epoch", 0))
-            if writable and (best is None or epoch > best[0]):
-                best = (epoch, int(status.get("lsn", 0)), address)
-        if best is None:
-            return False
-        epoch, lsn, address = best
-        if address == current:
-            return True  # the session's own primary is (still) it
-        old = self.primary
-        self.primary = Client(*address, timeout=self._timeout,
-                              domains=self._domains)
-        self.primary.last_commit_lsn = min(old.last_commit_lsn, lsn)
-        self.primary.cluster_epoch = max(old.cluster_epoch, epoch)
-        old.close()
-        for entry in self._replicas:
-            if entry["address"] == address and entry["client"] is not None:
-                entry["client"].close()
-        self._replicas = [entry for entry in self._replicas
-                          if entry["address"] != address]
-        if all(entry["address"] != current for entry in self._replicas):
-            self._replicas.append({"address": current, "client": None})
-        self._rr = 0
-        return True
-
-    def promote(self, address: Optional[Address] = None) -> int:
-        """Planned failover: promote a replica, re-route this session.
-
-        Sends PROMOTE to *address* (default: the first configured
-        replica), then :meth:`rediscover`\\ s so subsequent writes go to
-        the new primary. Returns the new fencing epoch. Raises
-        :class:`~repro.core.errors.PromotionError` when there is no
-        replica to promote (or the target refuses).
-        """
-        if address is None:
-            if not self._replicas:
-                raise PromotionError(
-                    "this session has no replica addresses to promote")
-            target = self._replicas[0]["address"]
-        else:
-            target = _parse_hostport(address)
-        probe = Client(*target, timeout=self._timeout, domains=self._domains)
-        try:
-            epoch = probe.promote()
-        finally:
-            probe.close()
-        self.rediscover()
-        return epoch
-
-    def _write(self, action: Callable[[], Any]) -> Any:
-        """Run *action* against the primary, failing over when fenced.
-
-        A :class:`~repro.core.errors.FencedError` proves the write was
-        refused (nothing committed), so after a successful
-        :meth:`rediscover` it is safe to re-send on the new primary. A
-        :class:`~repro.core.errors.ConnectionLostError` is ambiguous —
-        the write may have landed before the drop — so the session
-        rediscovers (the caller's retry will route correctly) but the
-        retryable error still propagates.
-        """
-        try:
-            return action()
-        except FencedError:
-            if not self.rediscover():
-                raise
-            return action()
-        except ConnectionLostError:
-            self.rediscover()
-            raise
-
-    # -- writes: straight to the (current) primary ---------------------------
-
-    def insert(self, name: str, lifespan: Lifespan,
-               values: Mapping[str, Any]) -> HistoricalTuple:
-        """Insert on the primary (see :meth:`Client.insert`)."""
-        return self._write(
-            lambda: self.primary.insert(name, lifespan, values))
-
-    def update(self, name: str, key: tuple, at: int,
-               changes: Mapping[str, Any]) -> HistoricalTuple:
-        """Update on the primary (see :meth:`Client.update`)."""
-        return self._write(
-            lambda: self.primary.update(name, key, at, changes))
-
-    def terminate(self, name: str, key: tuple, at: int) -> HistoricalTuple:
-        """Terminate on the primary (see :meth:`Client.terminate`)."""
-        return self._write(lambda: self.primary.terminate(name, key, at))
-
-    def reincarnate(self, name: str, key: tuple, lifespan: Lifespan,
-                    values: Mapping[str, Any]) -> HistoricalTuple:
-        """Reincarnate on the primary (see :meth:`Client.reincarnate`)."""
-        return self._write(
-            lambda: self.primary.reincarnate(name, key, lifespan, values))
-
-    def evolve_scheme(self, name: str, new_scheme: RelationScheme) -> None:
-        """Evolve a scheme on the primary (see
-        :meth:`Client.evolve_scheme`)."""
-        self._write(lambda: self.primary.evolve_scheme(name, new_scheme))
-
-    def create_relation(self, scheme: RelationScheme, tuples: Any = (), *,
-                        storage: str = "memory", **backend_options) -> None:
-        """Create a relation on the primary (see
-        :meth:`Client.create_relation`)."""
-        self._write(lambda: self.primary.create_relation(
-            scheme, tuples, storage=storage, **backend_options))
-
-    def drop_relation(self, name: str) -> None:
-        """Drop a relation on the primary (see
-        :meth:`Client.drop_relation`)."""
-        self._write(lambda: self.primary.drop_relation(name))
-
-    def transaction(self) -> RemoteTransaction:
-        """Open a transaction on the primary (see
-        :meth:`Client.transaction`). BEGIN against a fenced ex-primary
-        fails over like any write; the open session then lives on the
-        new primary."""
-        return self._write(lambda: self.primary.transaction())
-
-    def run_transaction(self, body, *, attempts: int = 5):
-        """Run *body* transactionally on the primary (see
-        :meth:`Client.run_transaction`). A fenced primary mid-run
-        aborts the attempt cleanly, so re-running the whole loop on
-        the rediscovered primary is safe."""
-        return self._write(
-            lambda: self.primary.run_transaction(body, attempts=attempts))
-
-    def checkpoint(self) -> int:
-        """Checkpoint the primary (replicas mirror the generation
-        switch through the stream)."""
-        return self._write(lambda: self.primary.checkpoint())
-
-    def flush(self) -> None:
-        """Flush the primary's acknowledged commits to stable storage."""
-        self._write(lambda: self.primary.flush())
-
-    def __repr__(self) -> str:
-        host, port = self.primary._address
-        state = "closed" if self._closed else "open"
-        return (f"RoutedClient({self.name!r} at {host}:{port} + "
-                f"{len(self._replicas)} replicas, {state})")
-
-
-class RoutedPrepared:
-    """A prepared statement that routes like :meth:`RoutedClient.query`.
-
-    The statement is prepared lazily on each server it actually runs
-    on (ids are per-connection), cached per target, and re-prepared
-    after reconnects by the underlying :class:`RemotePrepared`.
-    """
-
-    def __init__(self, routed: RoutedClient, source: str):
-        self._routed = routed
-        self.source = source
-        self._primary = routed.primary.prepare(source)
-        #: The ``:name`` parameters the statement expects.
-        self.param_names = self._primary.param_names
-        self._per_target: dict[Tuple[str, int],
-                               Tuple[Client, RemotePrepared]] = {}
-
-    def query(self, params: Optional[Mapping[str, Any]] = None
-              ) -> RemoteResult:
-        """Bind and run on the next live replica, else the primary."""
-        routed = self._routed
-        token = routed.primary.last_commit_lsn
-        for client in routed._read_targets():
-            try:
-                cached = self._per_target.get(client._address)
-                if cached is None or cached[0] is not client:
-                    prepared = client.prepare(self.source)
-                    self._per_target[client._address] = (client, prepared)
-                else:
-                    prepared = cached[1]
-                return prepared.query(params, wait_lsn=token,
-                                      wait_timeout=routed.replica_wait)
-            except (ReplicaLagError, ConnectionLostError):
-                continue
-        return self._primary.query(params)
-
-    def __repr__(self) -> str:
-        names = ", ".join(f":{n}" for n in self.param_names) or "no parameters"
-        return f"RoutedPrepared({self.source!r}, {names})"

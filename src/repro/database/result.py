@@ -39,13 +39,15 @@ from repro.core.lifespan import Lifespan
 from repro.core.relation import HistoricalRelation
 from repro.core.tuples import HistoricalTuple
 from repro.planner.executor import TupleStream
-from repro.planner.explain import PlanExplanation
+from repro.planner.explain import PlanExplanation, RemoteExplanation
 from repro.planner.plan import Plan
 
 #: The raw sorts a query can evaluate to. A ``TupleStream`` (the
 #: pipelined executor's output) is accepted too and materializes into a
-#: relation as the result is built.
-ResultValue = Union[HistoricalRelation, Lifespan, PlanExplanation, TupleStream]
+#: relation as the result is built. A ``RemoteExplanation`` is a plan
+#: explanation whose plan stayed in the server process: text only.
+ResultValue = Union[HistoricalRelation, Lifespan, PlanExplanation,
+                    RemoteExplanation, TupleStream]
 
 
 class QueryResult:
@@ -58,9 +60,9 @@ class QueryResult:
             # The result is the last pipeline breaker: scans streamed
             # tuple-by-tuple through the operators into this relation.
             value = value.materialize()
-        if isinstance(value, PlanExplanation):
+        if isinstance(value, (PlanExplanation, RemoteExplanation)):
             self.kind = "plan"
-            plan = plan or value.plan
+            plan = plan or getattr(value, "plan", None)
         elif isinstance(value, Lifespan):
             self.kind = "lifespan"
         elif isinstance(value, HistoricalRelation):
@@ -92,7 +94,7 @@ class QueryResult:
         return self._value  # type: ignore[return-value]
 
     @property
-    def explanation(self) -> PlanExplanation:
+    def explanation(self) -> Union[PlanExplanation, RemoteExplanation]:
         """The ``EXPLAIN [ANALYZE]`` rendering; ``kind == "plan"`` only."""
         if self.kind != "plan":
             raise QueryError(f"result is a {self.kind}, not a plan explanation")
@@ -147,4 +149,4 @@ class QueryResult:
         return str(self._value)
 
     def __repr__(self) -> str:
-        return f"QueryResult({self.kind}, {self._value!r})"
+        return f"{type(self).__name__}({self.kind}, {self._value!r})"

@@ -53,6 +53,24 @@ class PlanExplanation:
         return f"PlanExplanation({self.plan.root.label()}, {mode})"
 
 
+class RemoteExplanation:
+    """An ``EXPLAIN [ANALYZE]`` answer rendered in another process.
+
+    Only the rendering crosses the wire — the physical plan objects
+    stay server-side — so this mirrors just the displayable part of
+    :class:`PlanExplanation`.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+    def __repr__(self) -> str:
+        return f"RemoteExplanation({self.text.splitlines()[0]!r}...)"
+
+
 def _node_line(node: P.PhysicalNode) -> str:
     parts = [f"est rows≈{node.est_rows:.1f}", f"cost≈{node.est_cost:.1f}"]
     annotation = f"({', '.join(parts)})"

@@ -152,17 +152,18 @@ def execute(line: str, env: HistoricalDatabase,
         if state is None:
             return "error: \\connect needs an interactive session to switch into"
         from repro.client import connect
+        from repro.server.protocol import parse_address_list
 
         # First address is the primary; any further comma-separated
         # addresses are read replicas the routed client fans reads to.
-        addresses = [a.strip() for a in parts[1].split(",") if a.strip()]
         try:
+            addresses = parse_address_list(parts[1])
             client = connect(addresses[0], replicas=addresses[1:] or None)
         except (HRDMError, OSError) as exc:
             return f"error: {exc}"
         _release(env)
         state["env"] = client
-        host, port = addresses[0].rsplit(":", 1)
+        host, port = addresses[0]
         suffix = (f", reads routed across {len(addresses) - 1} replica(s)"
                   if len(addresses) > 1 else "")
         return (f"connected to database {client.name!r} at {host}:{port} "

@@ -26,11 +26,10 @@ via ``\\connect PRIMARY,REPLICA``.
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 
-from repro.core.errors import HRDMError
 from repro.replication.replica import ReplicaServer
+from repro.server.frames import serve_cli
 from repro.storage.wal import SYNC_POLICIES
 
 
@@ -52,31 +51,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--wal-batch-size", type=int, default=64,
                         help="local group-commit window under --sync batch")
     args = parser.parse_args(argv)
-    try:
-        replica = ReplicaServer(
+    return serve_cli(
+        lambda: ReplicaServer(
             args.path, args.primary, host=args.host, port=args.port,
             replica_id=args.replica_id, sync=args.sync,
-            wal_batch_size=args.wal_batch_size)
-    except HRDMError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    def shut_down(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGINT, shut_down)
-    signal.signal(signal.SIGTERM, shut_down)
-    host, port = replica.address
-    print(f"replica of {args.primary} — listening on {host}:{port}",
-          flush=True)
-    try:
-        replica.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        replica.stop()
-        print("replica stopped", flush=True)
-    return 0
+            wal_batch_size=args.wal_batch_size),
+        lambda replica: f"replica of {args.primary}", "replica stopped")
 
 
 if __name__ == "__main__":

@@ -90,7 +90,7 @@ def serve_subscription(connection, request) -> None:
     every failure just ends the subscription — the replica's reconnect
     loop owns retries.
     """
-    owner = connection.server.owner
+    owner = connection.owner
     db: "HistoricalDatabase" = connection.db
     if not getattr(db, "durable", False):
         raise ReplicationError(

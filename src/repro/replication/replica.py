@@ -19,8 +19,8 @@ A :class:`ReplicaServer` owns three cooperating pieces:
   Disconnects trigger reconnection with exponential backoff; a
   generation jump in the stream (the primary checkpointed) is mirrored
   as a local checkpoint under the primary's generation number;
-* a read-only :class:`~repro.server.DatabaseServer` on its own port:
-  the full query protocol, mutations refused with
+* the read-only :class:`~repro.server.DatabaseServer` it *is*, on its
+  own port: the full query protocol, mutations refused with
   :class:`~repro.core.errors.ReadOnlyError`, STATUS extended with the
   replica's applied position and primary link, and read-your-writes
   tokens honored via :meth:`wait_applied` (timeout → the retryable
@@ -45,7 +45,7 @@ from typing import Any, Mapping, Optional, Tuple, Union
 from repro import faults as faults_mod
 from repro.core.domains import ValueDomain
 from repro.core.errors import (FencedError, PromotionError, ReplicaLagError,
-                               ReplicationError, StorageError)
+                               ReplicationError)
 from repro.database.concurrency import WriteSet
 from repro.database.database import HistoricalDatabase
 from repro.server import DatabaseServer, protocol
@@ -85,21 +85,7 @@ def jittered_backoff(base: float, cap: float,
     return bounded * (0.5 + 0.5 * draw)
 
 
-def _parse_address(address: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
-    if isinstance(address, tuple):
-        host, port = address
-        return host, int(port)
-    host, _, port_text = str(address).rpartition(":")
-    if not host:
-        raise StorageError(f"need HOST:PORT, got {address!r}")
-    try:
-        return host, int(port_text)
-    except ValueError:
-        raise StorageError(
-            f"need a numeric port, got {port_text!r}") from None
-
-
-class ReplicaServer:
+class ReplicaServer(DatabaseServer):
     """One read replica: local durable state + sync loop + TCP server.
 
     >>> # doctest-free sketch; see docs/replication.md for a live one
@@ -118,15 +104,13 @@ class ReplicaServer:
                  backoff_cap: float = _BACKOFF_MAX,
                  backoff_seed: Optional[int] = None):
         self.path = path
-        self.primary_address = _parse_address(primary)
+        self.primary_address = protocol.parse_address(primary)
         self.replica_id = replica_id or f"replica-{os.getpid()}"
         self._sync = sync
         self._batch_size = wal_batch_size
         self._domains = dict(domains or {})
         self._connect_timeout = connect_timeout
-        self.db = self._open_db()
         self._cond = threading.Condition()
-        self._applied: Tuple[int, int] = self.db._durability.position
         self._connected = False
         self._last_frame: Optional[float] = None
         self._last_error: Optional[str] = None
@@ -137,10 +121,11 @@ class ReplicaServer:
         self._promoted = False
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self.server = DatabaseServer(
-            self.db, host, port, read_only=True, role="replica",
+        super().__init__(
+            self._open_db(), host, port, read_only=True, role="replica",
             status_extra=self._status_extra, lsn_waiter=self.wait_applied)
-        self.server.promoter = self.promote  # the wire PROMOTE op
+        self._applied: Tuple[int, int] = self.db._durability.position
+        self.promoter = self.promote  # the wire PROMOTE op
 
     def _open_db(self) -> HistoricalDatabase:
         return HistoricalDatabase(
@@ -149,26 +134,21 @@ class ReplicaServer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The read-only server's bound ``(host, port)``."""
-        return self.server.address
-
     def start(self) -> None:
         """Serve + sync on background threads; returns immediately."""
-        self.server.start()
-        self._thread = threading.Thread(
-            target=self._run, name=f"hrdm-replica:{self.address[1]}",
-            daemon=True)
-        self._thread.start()
+        super().start()
+        self._start_sync()
 
     def serve_forever(self) -> None:
         """Sync on a background thread, serve on the calling thread."""
+        self._start_sync()
+        super().serve_forever()
+
+    def _start_sync(self) -> None:
         self._thread = threading.Thread(
             target=self._run, name=f"hrdm-replica:{self.address[1]}",
             daemon=True)
         self._thread.start()
-        self.server.serve_forever()
 
     def stop(self) -> None:
         """Stop syncing and serving; close the local database."""
@@ -176,17 +156,9 @@ class ReplicaServer:
         if self._thread is not None:
             self._thread.join(10)
             self._thread = None
-        self.server.stop()
+        super().stop()
         if not self.db.closed:
             self.db.close()
-
-    def __enter__(self) -> "ReplicaServer":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
 
     # -- observability -----------------------------------------------------
 
@@ -272,9 +244,9 @@ class ReplicaServer:
             epoch = db._durability.bump_epoch(db)
         self._promoted = True
         self._connected = False
-        self.server.lsn_waiter = None
-        self.server.read_only = False
-        self.server.role = "primary"
+        self.lsn_waiter = None
+        self.read_only = False
+        self.role = "primary"
         return epoch
 
     # -- the sync loop -----------------------------------------------------
@@ -507,7 +479,6 @@ class ReplicaServer:
         # the shipped cut; sessions already mid-query keep the old
         # published snapshot (immutable in memory) and finish cleanly.
         self.db = self._open_db()
-        self.server.db = self.db
         self._set_applied(generation, lsn)
 
     def __repr__(self) -> str:

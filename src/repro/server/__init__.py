@@ -41,24 +41,19 @@ from the command line.
 
 from __future__ import annotations
 
-import socketserver
 import threading
 import time
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional
 
-from repro import faults as faults_mod
 from repro.core.errors import (FencedError, HRDMError, PromotionError,
                                ReadOnlyError, RelationError, TransactionError)
 from repro.database.database import HistoricalDatabase
-from repro.database.result import QueryResult
 from repro.server import protocol
+from repro.server.frames import FrameConnection, FrameServer
 from repro.storage import pager as pager_mod
 from repro.storage.engine import StoredRelation
 
-__all__ = ["DatabaseServer", "protocol"]
-
-#: How often a blocked connection checks the server's shutdown flag.
-_POLL_SECONDS = 0.2
+__all__ = ["DatabaseServer", "FrameConnection", "FrameServer", "protocol"]
 
 #: Frames a read-only server (a replica) refuses: everything that
 #: could change the catalog or its durable form.
@@ -70,26 +65,12 @@ _MUTATING_OPS = frozenset(
 _DEFAULT_WAIT_SECONDS = 1.0
 
 
-class _WireServer(socketserver.ThreadingTCPServer):
-    """One listening socket, one daemon worker thread per connection."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-    block_on_close = True  # stop() joins the workers — graceful shutdown
-
-    def __init__(self, address, owner: "DatabaseServer"):
-        super().__init__(address, _Connection)
-        self.owner = owner
-
-
-class _Connection(socketserver.BaseRequestHandler):
-    """One client session: socket, transaction, prepared statements."""
+class _Connection(FrameConnection):
+    """One client session: transaction and prepared statements."""
 
     def setup(self) -> None:
-        self.request = faults_mod.wrap_socket(self.request, "server")
-        self.request.settimeout(_POLL_SECONDS)
-        self.buffer = bytearray()
-        self._bound_db: HistoricalDatabase = self.server.owner.db
+        super().setup()
+        self._bound_db: HistoricalDatabase = self.owner.db
         self.txn = None
         self.prepared: dict[int, Any] = {}
         self._next_prepared = 0
@@ -109,7 +90,7 @@ class _Connection(socketserver.BaseRequestHandler):
         open transaction built against the replaced history is rolled
         back and the request refused.
         """
-        current = self.server.owner.db
+        current = self.owner.db
         if current is not self._bound_db:
             self._bound_db = current
             stale_prepared, self.prepared = self.prepared, {}
@@ -130,39 +111,6 @@ class _Connection(socketserver.BaseRequestHandler):
                     "was rolled back — BEGIN again")
         return current
 
-    def handle(self) -> None:
-        owner: DatabaseServer = self.server.owner
-        while not owner.stopping:
-            try:
-                request = protocol.recv_frame(
-                    self.request, self.buffer,
-                    keep_waiting=lambda: not owner.stopping)
-            except (protocol.ProtocolError, OSError):
-                break  # undecodable stream or dead socket: drop the session
-            if request is None:
-                break
-            try:
-                response = self.dispatch(request)
-            except HRDMError as exc:
-                response = protocol.error_to_wire(exc)
-            except Exception as exc:  # never let one request kill the worker
-                response = protocol.error_to_wire(exc)
-            if response is None:
-                break  # the handler took the connection over (SUBSCRIBE)
-            try:
-                protocol.send_frame(self.request, response)
-            except protocol.ProtocolError as exc:
-                # The response itself was unsendable (e.g. a relation
-                # larger than the frame cap): report that instead of
-                # tearing the connection down with no diagnosis.
-                try:
-                    protocol.send_frame(self.request,
-                                        protocol.error_to_wire(exc))
-                except OSError:
-                    break
-            except OSError:
-                break
-
     def finish(self) -> None:
         if self.txn is not None and self.txn.state == "active":
             self.txn.rollback()  # a dropped connection aborts its session
@@ -170,12 +118,8 @@ class _Connection(socketserver.BaseRequestHandler):
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self, request: Mapping[str, Any]) -> Optional[dict]:
-        op = request.get("op")
-        handler = getattr(self, f"op_{op}", None)
-        if handler is None:
-            raise protocol.ProtocolError(f"unknown op {op!r}")
-        if op in _MUTATING_OPS:
-            owner = self.server.owner
+        if request.get("op") in _MUTATING_OPS:
+            owner = self.owner
             if owner.fenced:
                 raise FencedError(
                     "this ex-primary has been fenced (a replica was "
@@ -189,7 +133,7 @@ class _Connection(socketserver.BaseRequestHandler):
         # never touch it directly (prepared QUERY, ROLLBACK) must still
         # notice a snapshot-resync swap before their handler runs.
         _ = self.db
-        return handler(request)
+        return super().dispatch(request)
 
     def _commit_token(self) -> Optional[int]:
         """The LSN to hand back with a write acknowledgement.
@@ -214,7 +158,7 @@ class _Connection(socketserver.BaseRequestHandler):
     # -- session / introspection frames ------------------------------------
 
     def op_hello(self, request: Mapping) -> dict:
-        owner: DatabaseServer = self.server.owner
+        owner: DatabaseServer = self.owner
         frame = {
             "ok": True,
             "server": "hrdm",
@@ -232,7 +176,7 @@ class _Connection(socketserver.BaseRequestHandler):
 
     def op_status(self, request: Mapping) -> dict:
         """Replication observability: role, position, per-replica lag."""
-        owner: DatabaseServer = self.server.owner
+        owner: DatabaseServer = self.owner
         frame: dict[str, Any] = {
             "ok": True,
             "role": owner.role,
@@ -280,7 +224,7 @@ class _Connection(socketserver.BaseRequestHandler):
         wait_lsn = request.get("wait_lsn")
         if wait_lsn is None:
             return
-        waiter = self.server.owner.lsn_waiter
+        waiter = self.owner.lsn_waiter
         if waiter is None:
             return
         timeout = request.get("wait_timeout")
@@ -324,7 +268,7 @@ class _Connection(socketserver.BaseRequestHandler):
             result = statement.query(params)
         else:
             result = self.db.query(request.get("q", ""), params)
-        return self._result_frame(result)
+        return protocol.result_to_wire(result)
 
     def op_prepare(self, request: Mapping) -> dict:
         statement = self.db.prepare(request.get("q", ""))
@@ -332,18 +276,6 @@ class _Connection(socketserver.BaseRequestHandler):
         self.prepared[self._next_prepared] = statement
         return {"ok": True, "id": self._next_prepared,
                 "params": list(statement.param_names)}
-
-    @staticmethod
-    def _result_frame(result: QueryResult) -> dict:
-        if result.kind == "relation":
-            payload = protocol.relation_to_wire(result.relation)
-            payload.update(ok=True, kind="relation")
-            return payload
-        if result.kind == "lifespan":
-            return {"ok": True, "kind": "lifespan",
-                    "lifespan": protocol.lifespan_to_wire(result.lifespan)}
-        return {"ok": True, "kind": "plan",
-                "text": result.explanation.text}
 
     # -- transactions -------------------------------------------------------
 
@@ -410,66 +342,22 @@ class _Connection(socketserver.BaseRequestHandler):
     # -- mutations ----------------------------------------------------------
 
     def op_execute(self, request: Mapping) -> dict:
+        """Decode and run one row of :data:`protocol.MUTATION_OPS`."""
         action = request.get("action")
-        handler = getattr(self, f"do_{action}", None)
-        if handler is None:
+        op = protocol.MUTATION_BY_ACTION.get(action)
+        if op is None:
             raise protocol.ProtocolError(f"unknown execute action {action!r}")
-        return handler(request)
-
-    @property
-    def _target(self):
-        """Where mutations go: the active transaction, else auto-commit."""
-        if self.txn is not None and self.txn.state == "active":
-            return self.txn
-        return self.db
-
-    def _tuple_frame(self, t) -> dict:
-        return self._with_token(
-            {"ok": True, "tuple": protocol.tuple_to_wire(t),
-             "scheme": pager_mod.scheme_to_dict(t.scheme)})
-
-    def do_insert(self, request: Mapping) -> dict:
-        return self._tuple_frame(self._target.insert(
-            request["relation"],
-            protocol.lifespan_from_wire(request["lifespan"]),
-            protocol.values_from_wire(request["values"]),
-        ))
-
-    def do_update(self, request: Mapping) -> dict:
-        return self._tuple_frame(self._target.update(
-            request["relation"], tuple(request["key"]), request["at"],
-            protocol.values_from_wire(request["changes"]),
-        ))
-
-    def do_terminate(self, request: Mapping) -> dict:
-        return self._tuple_frame(self._target.terminate(
-            request["relation"], tuple(request["key"]), request["at"],
-        ))
-
-    def do_reincarnate(self, request: Mapping) -> dict:
-        return self._tuple_frame(self._target.reincarnate(
-            request["relation"], tuple(request["key"]),
-            protocol.lifespan_from_wire(request["lifespan"]),
-            protocol.values_from_wire(request["values"]),
-        ))
-
-    def do_evolve(self, request: Mapping) -> dict:
-        scheme = pager_mod.scheme_from_dict(request["scheme"])
-        self._target.evolve_scheme(request["relation"], scheme)
-        return self._with_token({"ok": True})
-
-    def do_create(self, request: Mapping) -> dict:
-        scheme = pager_mod.scheme_from_dict(request["scheme"])
-        tuples = [protocol.tuple_from_wire(blob, scheme)
-                  for blob in request.get("tuples", ())]
-        self.db.create_relation(scheme, tuples,
-                                storage=request.get("storage", "memory"),
-                                **(request.get("options") or {}))
-        return self._with_token({"ok": True})
-
-    def do_drop(self, request: Mapping) -> dict:
-        self.db.drop_relation(request["relation"])
-        return self._with_token({"ok": True})
+        # Where mutations go: the active transaction, else auto-commit.
+        target = self.db
+        if (op.transactional and self.txn is not None
+                and self.txn.state == "active"):
+            target = self.txn
+        result = op.apply(target, request)
+        frame: dict[str, Any] = {"ok": True}
+        if op.answers_tuple:
+            frame.update(tuple=protocol.tuple_to_wire(result),
+                         scheme=pager_mod.scheme_to_dict(result.scheme))
+        return self._with_token(frame)
 
     # -- failover -----------------------------------------------------------
 
@@ -483,10 +371,10 @@ class _Connection(socketserver.BaseRequestHandler):
         an already-promoted replica) refuses with
         :class:`~repro.core.errors.PromotionError`.
         """
-        promoter = self.server.owner.promoter
+        promoter = self.owner.promoter
         if promoter is None:
             raise PromotionError(
-                f"this {self.server.owner.role} is not a promotable "
+                f"this {self.owner.role} is not a promotable "
                 f"replica: PROMOTE must reach a running ReplicaServer")
         return {"ok": True, "epoch": promoter()}
 
@@ -500,17 +388,12 @@ class _Connection(socketserver.BaseRequestHandler):
         return {"ok": True}
 
 
-class DatabaseServer:
+class DatabaseServer(FrameServer):
     """Serve one :class:`HistoricalDatabase` over TCP.
 
-    ``port=0`` (the default) binds an ephemeral port; read the real
-    one from :attr:`address` after construction. :meth:`start` runs
-    the accept loop on a background thread (the embedded-plus-served
-    mode used by tests and benchmarks); :meth:`serve_forever` runs it
-    on the calling thread (the ``python -m repro.server`` mode).
-    :meth:`stop` is graceful: the accept loop exits, every connection
-    worker notices the shutdown flag at its next poll tick and closes,
-    and in-flight requests finish first.
+    ``port=0`` (the default) binds an ephemeral port; the listener,
+    :attr:`address`, :meth:`start` / :meth:`serve_forever` and the
+    graceful :meth:`stop` are :class:`~repro.server.frames.FrameServer`'s.
 
     The replication roles reuse this one server class:
 
@@ -549,12 +432,9 @@ class DatabaseServer:
         #: the wire PROMOTE op reaches its ``promote()``; None elsewhere.
         self.promoter: Optional[Callable[[], int]] = None
         self.fenced = False
-        self.stopping = False
         self._replicas: dict[str, dict] = {}
         self._replicas_lock = threading.Lock()
-        self._server = _WireServer((host, port), self)
-        self._thread: Optional[threading.Thread] = None
-        self._serving = False
+        super().__init__((host, port), _Connection)
 
     # -- replica registry (primary-side observability) ---------------------
 
@@ -607,46 +487,6 @@ class DatabaseServer:
         rejoins the cluster as a replica, never by unfencing.
         """
         self.fenced = True
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)``."""
-        host, port = self._server.server_address[:2]
-        return host, port
-
-    def start(self) -> None:
-        """Run the accept loop on a daemon thread; returns immediately."""
-        if self._thread is not None:
-            raise RelationError("the server is already running")
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"hrdm-server:{self.address[1]}", daemon=True)
-        self._thread.start()
-
-    def serve_forever(self) -> None:
-        """Run the accept loop on the calling thread (until :meth:`stop`)."""
-        self._serving = True
-        self._server.serve_forever()
-
-    def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain workers, close."""
-        self.stopping = True
-        if self._serving:
-            self._server.shutdown()
-        self._server.server_close()  # joins the connection workers
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self._serving = False
-
-    def __enter__(self) -> "DatabaseServer":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
 
     def __repr__(self) -> str:
         host, port = self.address

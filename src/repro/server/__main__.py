@@ -23,13 +23,19 @@ Connect with :func:`repro.client.connect`, or from the HRQL shell via
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 
-from repro.core.errors import HRDMError
 from repro.database import HistoricalDatabase
 from repro.server import DatabaseServer
+from repro.server.frames import serve_cli
 from repro.storage.wal import SYNC_POLICIES
+
+
+class _OwningServer(DatabaseServer):
+    """The CLI's server opened its database, so it also closes it."""
+
+    def _after_stopping(self) -> None:
+        self.db.close()
 
 
 def _demo_database() -> HistoricalDatabase:
@@ -59,34 +65,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.path is None and not args.demo:
         parser.error("give a database directory PATH, or --demo")
-    try:
+
+    def build() -> DatabaseServer:
         if args.path is not None:
             db = HistoricalDatabase(path=args.path, sync=args.sync,
                                     wal_batch_size=args.wal_batch_size)
         else:
             db = _demo_database()
-    except HRDMError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _OwningServer(db, args.host, args.port)
 
-    server = DatabaseServer(db, args.host, args.port)
-
-    def shut_down(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGINT, shut_down)
-    signal.signal(signal.SIGTERM, shut_down)
-    host, port = server.address
-    print(f"serving {db.name!r} — listening on {host}:{port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        db.close()
-        print("server stopped", flush=True)
-    return 0
+    return serve_cli(build, lambda server: f"serving {server.db.name!r}",
+                     "server stopped")
 
 
 if __name__ == "__main__":

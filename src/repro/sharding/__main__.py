@@ -31,19 +31,10 @@ Clients connect to the coordinator exactly as to a plain server::
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 
-from repro.core.errors import HRDMError
+from repro.server.frames import serve_cli
 from repro.storage.wal import SYNC_POLICIES
-
-
-def _parse_hostport(raw: str) -> tuple[str, int]:
-    host, _, port = raw.rpartition(":")
-    if not host:
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT, got {raw!r}")
-    return host, int(port)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     worker.add_argument("--shard-id", type=int, default=0,
                         help="this shard's id (its index in the "
                              "coordinator's --shard list)")
-    worker.add_argument("--coordinator", type=_parse_hostport, default=None,
+    worker.add_argument("--coordinator", default=None,
                         metavar="HOST:PORT",
                         help="coordinator address to poll for in-doubt "
                              "2PC resolution")
@@ -92,58 +83,29 @@ def main(argv: list[str] | None = None) -> int:
                        help="catalog name reported to clients")
     args = parser.parse_args(argv)
 
-    def shut_down(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGINT, shut_down)
-    signal.signal(signal.SIGTERM, shut_down)
-
     if args.command == "worker":
         from repro.sharding.worker import ShardWorker
 
-        try:
-            node = ShardWorker(args.path, shard_id=args.shard_id,
-                               host=args.host, port=args.port,
-                               coordinator=args.coordinator,
-                               sync=args.sync,
-                               wal_batch_size=args.wal_batch_size)
-        except HRDMError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        host, port = node.address
-        print(f"shard {node.shard_id} serving {args.path!r} — "
-              f"listening on {host}:{port}", flush=True)
-        try:
-            node.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            node.stop()
-            print("shard worker stopped", flush=True)
-        return 0
+        return serve_cli(
+            lambda: ShardWorker(args.path, shard_id=args.shard_id,
+                                host=args.host, port=args.port,
+                                coordinator=args.coordinator,
+                                sync=args.sync,
+                                wal_batch_size=args.wal_batch_size),
+            lambda node: f"shard {node.shard_id} serving {args.path!r}",
+            "shard worker stopped")
 
     if not args.shard:
         coord.error("give at least one --shard HOST:PORT")
     from repro.sharding.coordinator import Coordinator
 
-    try:
-        node = Coordinator(args.path, args.shard, name=args.name,
-                           host=args.host, port=args.port,
-                           broadcast=args.broadcast)
-    except HRDMError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    host, port = node.address
-    print(f"coordinating {node.n_shards} shard(s) as {node.name!r} — "
-          f"listening on {host}:{port}", flush=True)
-    try:
-        node.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        node.stop()
-        print("coordinator stopped", flush=True)
-    return 0
+    return serve_cli(
+        lambda: Coordinator(args.path, args.shard, name=args.name,
+                            host=args.host, port=args.port,
+                            broadcast=args.broadcast),
+        lambda node: (f"coordinating {node.n_shards} shard(s) "
+                      f"as {node.name!r}"),
+        "coordinator stopped")
 
 
 if __name__ == "__main__":

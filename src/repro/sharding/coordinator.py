@@ -32,18 +32,23 @@ shard may be configured with several addresses (leader plus replicas),
 and a :class:`_ShardLink` answers a
 :class:`~repro.core.errors.FencedError` by re-probing the address set
 and re-routing to the writable server with the highest fencing epoch —
-the same election rule as :meth:`repro.client.RoutedClient.rediscover`.
+the same election (:func:`repro.client.routed.elect_leader`) a
+:class:`~repro.client.RoutedClient` fails over through.
+
+The listener and the per-connection frame loop are the shared
+:class:`~repro.server.frames.FrameServer`; this module only adds the
+connection class with the coordinator's own ``op_*`` table.
 """
 
 from __future__ import annotations
 
 import os
-import socketserver
 import threading
 import uuid
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.client import Client
+from repro.client.routed import _PROBE_TIMEOUT, elect_leader
 from repro.core.errors import (FencedError, HRDMError, RelationError,
                                ShardingError, TransactionError)
 from repro.core.lifespan import Lifespan
@@ -54,6 +59,7 @@ from repro.query.compiler import ExplainQuery, WhenQuery, compile_query
 from repro.query.parser import parse as parse_hrql
 from repro.query import ast_nodes as ast
 from repro.server import protocol
+from repro.server.frames import FrameConnection, FrameServer
 from repro.sharding.decision import DecisionLog
 from repro.sharding.placement import Placement, ShardCatalog, shard_of
 from repro.sharding.router import Route, route_statement
@@ -61,38 +67,10 @@ from repro.storage import pager as pager_mod
 
 __all__ = ["Coordinator"]
 
-#: How often a blocked coordinator connection polls the shutdown flag.
-_POLL_SECONDS = 0.2
-
-#: Bound on a leader-election probe round trip — a shard address that
-#: connects but never answers must not stall rediscovery.
-_PROBE_TIMEOUT = 2.0
-
 #: An address in any accepted spelling: "host:port", (host, port), or a
-#: sequence of those (leader first, then its replicas).
+#: sequence of those (leader first, then its replicas) — see
+#: :func:`repro.server.protocol.parse_address_list`.
 AddressSpec = Any
-
-
-def _parse_address(spec) -> Tuple[str, int]:
-    if isinstance(spec, (tuple, list)):
-        host, port = spec
-        return str(host), int(port)
-    host, _, port = str(spec).rpartition(":")
-    if not host:
-        raise ShardingError(f"shard address needs HOST:PORT, got {spec!r}")
-    return host, int(port)
-
-
-def _parse_shard(spec: AddressSpec) -> List[Tuple[str, int]]:
-    """One shard's address set: leader first, then standby replicas."""
-    if isinstance(spec, str):
-        parts = [p.strip() for p in spec.split(",") if p.strip()]
-        return [_parse_address(p) for p in parts]
-    if isinstance(spec, (tuple, list)):
-        if len(spec) == 2 and isinstance(spec[1], int):
-            return [_parse_address(spec)]  # a bare (host, port)
-        return [_parse_address(p) for p in spec]
-    raise ShardingError(f"unreadable shard address spec {spec!r}")
 
 
 class _ShardLink:
@@ -133,31 +111,24 @@ class _ShardLink:
                 raise
             return self.client.request(payload)
 
+    def attempt(self, payload: Mapping[str, Any]) -> None:
+        """Send a frame whose failure changes nothing: a rollback the
+        worker performs anyway when the session dies, a compensation,
+        or a decision that is already durable and will be re-delivered
+        by the next in-doubt sweep."""
+        try:
+            self.request(payload)
+        except (HRDMError, OSError):
+            pass
+
     def rediscover(self) -> bool:
-        """Re-elect the shard leader: writable, highest fencing epoch."""
-        best: Optional[Tuple[int, Tuple[str, int]]] = None
-        for address in self.addresses:
-            try:
-                probe = Client(*address, timeout=_PROBE_TIMEOUT)
-            except (OSError, HRDMError):
-                continue
-            try:
-                status = probe.status()
-            except (OSError, HRDMError):
-                continue
-            finally:
-                probe.close()
-            writable = (status.get("role") != "replica"
-                        and not status.get("read_only")
-                        and not status.get("fenced"))
-            epoch = int(status.get("epoch", 0))
-            if writable and (best is None or epoch > best[0]):
-                best = (epoch, address)
+        """Re-elect the shard leader; the next request re-dials it."""
+        best = elect_leader(self.addresses, self._timeout)
         if best is None:
             return False
-        if best[1] != self._current:
+        if best[2] != self._current:
             self.close()
-            self._current = best[1]
+            self._current = best[2]
         return True
 
     def close(self) -> None:
@@ -170,17 +141,7 @@ class _ShardLink:
         return f"_ShardLink(shard {self.shard_id} at {host}:{port})"
 
 
-class _CoordWireServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    block_on_close = True
-
-    def __init__(self, address, owner: "Coordinator"):
-        super().__init__(address, _CoordConnection)
-        self.owner = owner
-
-
-class _CoordConnection(socketserver.BaseRequestHandler):
+class _CoordConnection(FrameConnection):
     """One client session against the sharded catalog.
 
     Holds its own per-shard links (a connection is single-threaded on
@@ -189,59 +150,19 @@ class _CoordConnection(socketserver.BaseRequestHandler):
     cache (id → HRQL source, re-routed per execution)."""
 
     def setup(self) -> None:
-        self.request.settimeout(_POLL_SECONDS)
-        self.buffer = bytearray()
-        self.owner: "Coordinator" = self.server.owner
+        super().setup()
         self._links: Dict[int, _ShardLink] = {}
         self._txn: Optional[Dict[int, _ShardLink]] = None
         self._prepared: Dict[int, str] = {}
         self._next_prepared = 0
         self._rr = 0
 
-    def handle(self) -> None:
-        owner = self.owner
-        while not owner.stopping:
-            try:
-                request = protocol.recv_frame(
-                    self.request, self.buffer,
-                    keep_waiting=lambda: not owner.stopping)
-            except (protocol.ProtocolError, OSError):
-                break
-            if request is None:
-                break
-            try:
-                response = self.dispatch(request)
-            except HRDMError as exc:
-                response = protocol.error_to_wire(exc)
-            except Exception as exc:  # never let one request kill the worker
-                response = protocol.error_to_wire(exc)
-            try:
-                protocol.send_frame(self.request, response)
-            except protocol.ProtocolError as exc:
-                try:
-                    protocol.send_frame(self.request,
-                                        protocol.error_to_wire(exc))
-                except OSError:
-                    break
-            except OSError:
-                break
-
     def finish(self) -> None:
         if self._txn:
             for link in self._txn.values():
-                try:
-                    link.request({"op": "rollback"})
-                except (HRDMError, OSError):
-                    pass  # the worker rolls back with the dead session anyway
+                link.attempt({"op": "rollback"})
         for link in self._links.values():
             link.close()
-
-    def dispatch(self, request: Mapping[str, Any]) -> dict:
-        op = request.get("op")
-        handler = getattr(self, f"op_{op}", None)
-        if handler is None:
-            raise protocol.ProtocolError(f"unknown op {op!r}")
-        return handler(request)
 
     # -- shard plumbing -----------------------------------------------------
 
@@ -418,36 +339,17 @@ class _CoordConnection(socketserver.BaseRequestHandler):
             env[name] = self._merged_relation(name)
         compiled = compile_query(statement, params)
         if isinstance(compiled, ExplainQuery):
-            return {"ok": True, "kind": "plan",
-                    "text": compiled.evaluate(env).text}
+            return protocol.result_to_wire(QueryResult(compiled.evaluate(env)))
         planner = Planner()
         if isinstance(compiled, WhenQuery):
             plan = planner.plan(compiled.child, env, when=True)
         else:
             plan = planner.plan(compiled, env)
-        result = QueryResult(plan.execute_stream(env), plan)
-        if result.kind == "relation":
-            payload = protocol.relation_to_wire(result.relation)
-            payload.update(ok=True, kind="relation")
-            return payload
-        return {"ok": True, "kind": "lifespan",
-                "lifespan": protocol.lifespan_to_wire(result.lifespan)}
+        return protocol.result_to_wire(
+            QueryResult(plan.execute_stream(env), plan))
 
     def _merged_relation(self, name: str) -> HistoricalRelation:
-        entry = self.owner.catalog.get(name)
-        if entry is None:
-            raise RelationError(f"no relation named {name!r}")
-        if entry.broadcast:
-            raw = self._link(self._any_shard()).request(
-                {"op": "relation", "name": name})
-            return protocol.relation_from_wire(raw)
-        parts = [link.request({"op": "relation", "name": name})
-                 for link in self._all_links()]
-        scheme = pager_mod.scheme_from_dict(parts[0]["scheme"])
-        return HistoricalRelation(
-            scheme,
-            (protocol.tuple_from_wire(blob, scheme)
-             for part in parts for blob in part["tuples"]))
+        return protocol.relation_from_wire(self.op_relation({"name": name}))
 
     # -- mutation routing ---------------------------------------------------
 
@@ -457,34 +359,39 @@ class _CoordConnection(socketserver.BaseRequestHandler):
             raise RelationError(f"no relation named {name!r}")
         return entry
 
-    def _mutation_shards(self, request: Mapping) -> List[int]:
-        """The shards one EXECUTE frame must reach."""
-        action = request.get("action")
-        if action == "evolve":
-            return list(range(self.owner.n_shards))
+    def _mutation_shards(self, op: protocol.MutationOp,
+                         request: Mapping) -> List[int]:
+        """The shards one EXECUTE frame must reach: the home shard of
+        the argument the op's table row names as its shard key — a
+        values mapping (a birth) or a key tuple — else all of them."""
+        everywhere = list(range(self.owner.n_shards))
+        if op.shard_field is None:
+            return everywhere
         entry = self._placement_of(request["relation"])
         if entry.broadcast:
-            return list(range(self.owner.n_shards))
-        if action == "insert":
-            values = protocol.values_from_wire(request["values"])
-            try:
-                shard_key = [values[a] for a in entry.shard_by]
-            except KeyError as exc:
-                raise ShardingError(
-                    f"insert into hashed relation {entry.name!r} must give "
-                    f"its shard key ({', '.join(entry.shard_by)}) as "
-                    f"constants; missing {exc.args[0]!r}") from None
-        else:
-            shard_key = entry.shard_key_of(tuple(request.get("key", ())))
+            return everywhere
+        carrier = op.shard_field.decode(request[op.shard_field.wire])
+        if not isinstance(carrier, Mapping):
+            carrier = dict(zip(entry.key, carrier))
+        try:
+            shard_key = [carrier[a] for a in entry.shard_by]
+        except KeyError as exc:
+            raise ShardingError(
+                f"{op.method} on hashed relation {entry.name!r} must give "
+                f"its shard key ({', '.join(entry.shard_by)}) as "
+                f"constants; missing {exc.args[0]!r}") from None
         return [shard_of(shard_key, self.owner.n_shards)]
 
     def op_execute(self, request: Mapping) -> dict:
         action = request.get("action")
+        op = protocol.MUTATION_BY_ACTION.get(action)
+        if op is None:
+            raise protocol.ProtocolError(f"unknown execute action {action!r}")
         if action == "create":
             return self._create(request)
         if action == "drop":
             return self._drop(request)
-        targets = self._mutation_shards(request)
+        targets = self._mutation_shards(op, request)
         if self._txn is not None:
             response: Optional[dict] = None
             for shard in targets:
@@ -509,10 +416,7 @@ class _CoordConnection(socketserver.BaseRequestHandler):
                 response = response or part
         except BaseException:
             for link in begun:
-                try:
-                    link.request({"op": "rollback"})
-                except (HRDMError, OSError):
-                    pass
+                link.attempt({"op": "rollback"})
             raise
         self._commit_participants({link.shard_id: link for link in links})
         return response
@@ -555,11 +459,8 @@ class _CoordConnection(socketserver.BaseRequestHandler):
                 created.append(link)
         except BaseException:
             for link in created:  # best-effort compensation
-                try:
-                    link.request({"op": "execute", "action": "drop",
-                                  "relation": scheme.name})
-                except (HRDMError, OSError):
-                    pass
+                link.attempt({"op": "execute", "action": "drop",
+                              "relation": scheme.name})
             raise
         self.owner.catalog.add(entry)
         return {"ok": True, "placement": entry.placement,
@@ -595,21 +496,22 @@ class _CoordConnection(socketserver.BaseRequestHandler):
             self._txn[shard] = link
         return link
 
-    def op_commit(self, request: Mapping) -> dict:
+    def _end_txn(self) -> Dict[int, _ShardLink]:
+        """Detach the open transaction; its enrolled participants."""
         if self._txn is None:
             raise TransactionError(
                 "no transaction is active on this connection (send BEGIN)")
         participants, self._txn = self._txn, None
+        return participants
+
+    def op_commit(self, request: Mapping) -> dict:
+        participants = self._end_txn()
         if not participants:
             return {"ok": True}
         return self._commit_participants(participants)
 
     def op_rollback(self, request: Mapping) -> dict:
-        if self._txn is None:
-            raise TransactionError(
-                "no transaction is active on this connection (send BEGIN)")
-        participants, self._txn = self._txn, None
-        for link in participants.values():
+        for link in self._end_txn().values():
             link.request({"op": "rollback"})
         return {"ok": True}
 
@@ -633,29 +535,20 @@ class _CoordConnection(socketserver.BaseRequestHandler):
                 # hold an in-doubt prepare — presumed abort resolves it,
                 # since no commit decision will ever be logged.
                 for peer in prepared:
-                    try:
-                        peer.request({"op": "txn_decide",
-                                      "txn_id": txn_id, "commit": False})
-                    except (HRDMError, OSError):
-                        pass
+                    peer.attempt({"op": "txn_decide",
+                                  "txn_id": txn_id, "commit": False})
                 for peer in ordered[index + 1:]:
-                    try:
-                        peer.request({"op": "rollback"})
-                    except (HRDMError, OSError):
-                        pass
+                    peer.attempt({"op": "rollback"})
                 raise
             prepared.append(link)
         # Every participant voted yes and holds a force-synced PREPARE:
         # the fsynced decision-log entry is the commit point.
         self.owner.decisions.record(txn_id, "commit")
         for link in ordered:
-            try:
-                link.request({"op": "txn_decide",
-                              "txn_id": txn_id, "commit": True})
-            except (HRDMError, OSError):
-                # The decision is durable; this participant resolves on
-                # its next STATUS sweep or its own RESOLVE poll.
-                pass
+            # The decision is durable: a participant this misses resolves
+            # on its next STATUS sweep or its own RESOLVE poll.
+            link.attempt({"op": "txn_decide",
+                          "txn_id": txn_id, "commit": True})
         return {"ok": True, "txn_id": txn_id,
                 "participants": sorted(participants)}
 
@@ -673,7 +566,7 @@ class _CoordConnection(socketserver.BaseRequestHandler):
         return {"ok": True}
 
 
-class Coordinator:
+class Coordinator(FrameServer):
     """Serve a sharded catalog: route, scatter-gather, and 2PC.
 
     *path* is the coordinator's own durable directory (shard catalog +
@@ -699,19 +592,16 @@ class Coordinator:
         self.path = path
         self.name = name
         self.shards: List[List[Tuple[str, int]]] = [
-            _parse_shard(spec) for spec in shards]
+            protocol.parse_address_list(spec) for spec in shards]
         self.n_shards = len(self.shards)
         self.default_broadcast = frozenset(broadcast)
         self.timeout = timeout
         self.catalog = ShardCatalog(os.path.join(path, "catalog.json"),
                                     self.n_shards)
         self.decisions = DecisionLog(os.path.join(path, "decisions.log"))
-        self.stopping = False
         self._txn_lock = threading.Lock()
         self._txn_seq = 0
-        self._server = _CoordWireServer((host, port), self)
-        self._thread: Optional[threading.Thread] = None
-        self._serving = False
+        super().__init__((host, port), _CoordConnection)
 
     def new_txn_id(self) -> str:
         """A globally unique transaction id.
@@ -729,11 +619,8 @@ class Coordinator:
         """Decide a participant's lingering prepares from the log."""
         for txn_id in in_doubt:
             outcome = self.decisions.resolve(txn_id)
-            try:
-                link.request({"op": "txn_decide", "txn_id": txn_id,
-                              "commit": outcome == "commit"})
-            except (HRDMError, OSError):
-                pass  # still durable; a later sweep gets another shot
+            link.attempt({"op": "txn_decide", "txn_id": txn_id,
+                          "commit": outcome == "commit"})
 
     def recover_shards(self) -> None:
         """One startup sweep: resolve every reachable shard's in-doubt
@@ -754,46 +641,11 @@ class Coordinator:
             finally:
                 link.close()
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return host, port
-
-    def start(self) -> None:
-        """Accept loop on a daemon thread + one in-doubt recovery sweep."""
-        if self._thread is not None:
-            raise ShardingError("the coordinator is already running")
+    def _before_serving(self) -> None:
         self.recover_shards()
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"hrdm-coordinator:{self.address[1]}", daemon=True)
-        self._thread.start()
 
-    def serve_forever(self) -> None:
-        """Accept loop on the calling thread (the CLI mode)."""
-        self.recover_shards()
-        self._serving = True
-        self._server.serve_forever()
-
-    def stop(self) -> None:
-        self.stopping = True
-        if self._serving:
-            self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self._serving = False
+    def _after_stopping(self) -> None:
         self.decisions.close()
-
-    def __enter__(self) -> "Coordinator":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
 
     def __repr__(self) -> str:
         host, port = self.address

@@ -1,8 +1,8 @@
 """A shard worker — one ordinary database server holding one slice.
 
-A worker is deliberately boring: it wraps a durable
-:class:`~repro.database.HistoricalDatabase` in the stock
-:class:`~repro.server.DatabaseServer` and adds only two shard-specific
+A worker is deliberately boring: it is the stock
+:class:`~repro.server.DatabaseServer` over its own durable
+:class:`~repro.database.HistoricalDatabase`, plus two shard-specific
 behaviours:
 
 * **status decoration** — every STATUS frame carries ``shard`` (this
@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.client import Client
 from repro.core.errors import HRDMError
 from repro.database import HistoricalDatabase
 from repro.server import DatabaseServer
+from repro.server.protocol import parse_address
 
 __all__ = ["ShardWorker"]
 
@@ -41,21 +42,22 @@ __all__ = ["ShardWorker"]
 _RESOLVE_INTERVAL = 1.0
 
 
-class ShardWorker:
+class ShardWorker(DatabaseServer):
     """One shard: a durable database served over the stock wire protocol."""
 
     def __init__(self, path: str, *, shard_id: int = 0,
                  host: str = "127.0.0.1", port: int = 0,
-                 coordinator: Optional[Tuple[str, int]] = None,
+                 coordinator: Optional[Union[str, Tuple[str, int]]] = None,
                  sync: str = "batch", wal_batch_size: int = 64):
         self.shard_id = shard_id
-        self.coordinator = coordinator
-        self.db = HistoricalDatabase(path=path, sync=sync,
-                                     wal_batch_size=wal_batch_size)
-        self.server = DatabaseServer(self.db, host, port,
-                                     status_extra=self._status_extra)
+        self.coordinator = (None if coordinator is None
+                            else parse_address(coordinator))
         self._stop = threading.Event()
         self._resolver: Optional[threading.Thread] = None
+        super().__init__(
+            HistoricalDatabase(path=path, sync=sync,
+                               wal_batch_size=wal_batch_size),
+            host, port, status_extra=self._status_extra)
 
     def _status_extra(self) -> dict:
         manager = self.db._durability
@@ -104,19 +106,7 @@ class ShardWorker:
 
     # -- lifecycle ----------------------------------------------------------
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.server.address
-
-    def start(self) -> None:
-        self.server.start()
-        self._start_resolver()
-
-    def serve_forever(self) -> None:
-        self._start_resolver()
-        self.server.serve_forever()
-
-    def _start_resolver(self) -> None:
+    def _before_serving(self) -> None:
         if self.coordinator is not None and self._resolver is None:
             self._resolver = threading.Thread(
                 target=self._resolve_loop,
@@ -128,16 +118,8 @@ class ShardWorker:
         if self._resolver is not None:
             self._resolver.join()
             self._resolver = None
-        self.server.stop()
+        super().stop()
         self.db.close()
-
-    def __enter__(self) -> "ShardWorker":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
 
     def __repr__(self) -> str:
         host, port = self.address

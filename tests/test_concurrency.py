@@ -5,7 +5,7 @@ racing committing writers over memory *and* disk relations must only
 ever observe committed snapshots (no torn transactions), and the final
 state must equal a serial replay of the acknowledged commits. Every
 stress run also feeds a per-session operation history to the
-snapshot-isolation oracle (``tests/_history_oracle.py``), which
+snapshot-isolation oracle (``repro.workloads.oracle``), which
 re-checks the invariants post-hoc from the recorded schedule. The unit
 tests pin the mechanisms underneath — frozen stored relations, page
 copy-on-write clones, and the published read environment.
@@ -26,7 +26,7 @@ from repro.core.tuples import HistoricalTuple
 from repro.database import HistoricalDatabase
 from repro.storage.engine import StoredRelation
 
-from _history_oracle import HistoryOracle
+from repro.workloads.oracle import HistoryOracle
 
 #: Generous upper bound for joining worker threads — a deadlock fails
 #: the test instead of hanging the suite.

@@ -277,3 +277,28 @@ class TestFaultySocket:
             sock = wrap_socket(raw, "client")
             assert sock.fileno() == raw.fileno()
             assert sock.getsockname() == raw.getsockname()
+
+
+class TestAcceptedConnections:
+    """``"server"`` means *every* accepted server connection — the
+    shard coordinator's as much as a database server's."""
+
+    def test_server_rule_fires_on_a_coordinator_connection(self, tmp_path):
+        from repro.client import connect
+        from repro.core.errors import ConnectionLostError
+        from repro.sharding import Coordinator, ShardWorker
+
+        with ShardWorker(str(tmp_path / "shard")) as worker, \
+                Coordinator(str(tmp_path / "coord"),
+                            [worker.address]) as coordinator:
+            # Installed only now: the coordinator's startup sweep has
+            # come and gone, so the next "server" recv in this process
+            # is the coordinator reading this client's HELLO.
+            schedule = install(FaultSchedule().fail("server", "recv", count=1))
+            with pytest.raises(ConnectionLostError):
+                connect(*coordinator.address, timeout=5.0)
+            assert [(e["target"], e["op"]) for e in schedule.trace] == [
+                ("server", "recv")]
+            # One-shot: the next session is served normally.
+            with connect(*coordinator.address, timeout=5.0) as session:
+                assert session.role == "coordinator"

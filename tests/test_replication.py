@@ -40,7 +40,7 @@ from repro.storage.engine import encode_tuple
 from repro.storage import wal as wal_mod
 from repro.storage.wal import WALGapError, WALReader, WriteAheadLog
 
-from _history_oracle import HistoryOracle
+from repro.workloads.oracle import HistoryOracle
 
 JOIN_TIMEOUT = 60.0
 

@@ -37,7 +37,7 @@ from repro.database import HistoricalDatabase
 from repro.client import Client, connect
 from repro.server import DatabaseServer, protocol
 
-from _history_oracle import HistoryOracle
+from repro.workloads.oracle import HistoryOracle
 
 JOIN_TIMEOUT = 60.0
 
