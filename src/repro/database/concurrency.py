@@ -244,9 +244,10 @@ class ConcurrencyManager:
 
         Held only for the commit critical section — validate, apply,
         WAL append, publish — never across a transaction body.
-        Reentrant, so nested entry points (``evolve_scheme`` installing
-        through ``replace``'s path, a commit calling the durability
-        layer) need no special casing.
+        Reentrant, so a holder may enter the pipeline
+        (``evolve_scheme`` re-homes the live relation under the lock,
+        then commits) or call locked accessors (``checkpoint`` asking
+        for ``in_doubt_transactions``) without special casing.
         """
         return self._commit_lock
 
@@ -323,10 +324,6 @@ class ConcurrencyManager:
         """Release a pinned prepare (decision arrived); returns its
         write-set, or None if *txn_id* was not pinned."""
         return self._prepared.pop(txn_id, None)
-
-    def prepared_ids(self) -> list[str]:
-        """The transaction ids currently pinned by a prepare."""
-        return list(self._prepared)
 
     def committed(self, backends: Mapping[str, Any],
                   write_set: WriteSet) -> ReadEnv:

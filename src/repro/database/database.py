@@ -15,12 +15,16 @@ mutable top-level object tying together:
   answer the same queries;
 * update operations phrased in lifespan terms — :meth:`insert` (birth),
   :meth:`terminate` (death), :meth:`reincarnate` (rebirth of the same
-  key, Section 1's hire / fire / re-hire cycle) — checked against the
-  registered integrity constraints after every call, with atomic
-  rollback on violation;
+  key, Section 1's hire / fire / re-hire cycle) — each a one-op
+  transaction, checked against the registered integrity constraints
+  at its commit, with atomic rollback on violation;
 * transactional sessions (:meth:`transaction`) that buffer mutations,
   apply them per relation in one batch, and defer the constraint sweep
   to commit — the bulk path;
+* one commit pipeline (``_commit``) behind every one of them and
+  behind DDL, ``replace`` and two-phase prepares: a commit is a
+  write-set plus a list of steps over the four catalog ops the
+  write-ahead log knows (:data:`repro.database.durability.CATALOG_OPS`);
 * schema evolution via attribute lifespans
   (:mod:`repro.database.evolution`);
 * HRQL querying through the cost-based planner — :meth:`query` returns
@@ -45,7 +49,7 @@ mutable top-level object tying together:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, Mapping, NamedTuple, Optional, Union
 
 from repro.core.domains import ValueDomain
 from repro.core.errors import (ConflictError, HRDMError, IntegrityError,
@@ -71,30 +75,24 @@ from repro.query.parser import parse as parse_hrql
 Backend = Union[MemoryBackend, DiskBackend]
 
 
-def _relation_write_set(name: str) -> WriteSet:
-    """The write-set of a relation-granular commit (DDL, replace,
-    evolution): conflicts with any concurrent write to *name*."""
+def _relation_write_set(*names: str) -> WriteSet:
+    """The write-set of a relation-granular commit (DDL, replace, a
+    logged record): conflicts with any concurrent write to *names*."""
     write_set = WriteSet()
-    write_set.record_relation(name)
+    for name in names:
+        write_set.record_relation(name)
     return write_set
 
 
-class _PreparedTxn:
-    """One voted-yes, undecided two-phase transaction on this database.
+class _PreparedTxn(NamedTuple):
+    """One voted-yes, undecided two-phase transaction on this database:
+    a pinned write-set plus the stashed steps a commit decision will
+    run. Nothing of it is applied to the backends — the same shape
+    whether this process ran the prepare, recovered it from the WAL, or
+    received it on the replica stream."""
 
-    A **live** prepare (this process ran the transaction body) carries
-    the apply-time *undos* so an abort decision can roll the backends
-    back; a **recovered** prepare (found in the WAL at reopen) carries
-    the PREPARE *record* instead — its ops were stashed, not applied,
-    so a commit decision replays them.
-    """
-
-    __slots__ = ("write_set", "undos", "record")
-
-    def __init__(self, write_set, undos=None, record=None):
-        self.write_set = write_set
-        self.undos = undos
-        self.record = record
+    write_set: WriteSet
+    steps: list
 
 
 class HistoricalDatabase:
@@ -160,11 +158,9 @@ class HistoricalDatabase:
         self._prepared_txns: Dict[str, _PreparedTxn] = {}
         self._durability: Optional[DurabilityManager] = None
         if path is not None:
-            manager = DurabilityManager(path, sync, wal_batch_size, domains)
-            manager.open(self, name)
-            self._durability = manager
-            for record in manager.recovered_in_doubt.values():
-                self._stash_prepare_record(record)
+            self._durability = DurabilityManager(path, sync, wal_batch_size,
+                                                 domains)
+            self._durability.open(self, name)
         self._concurrency.publish(self._backends)
 
     # -- catalog -----------------------------------------------------------
@@ -182,32 +178,16 @@ class HistoricalDatabase:
         and behave identically under queries and mutations.
         """
         self._ensure_mutable("create a relation")
-        lsn = None
-        with self._concurrency.write():
-            if scheme.name in self._backends:
-                raise RelationError(f"relation {scheme.name!r} already exists")
-            try:
-                factory = BACKENDS[storage]
-            except KeyError:
-                options = ", ".join(sorted(BACKENDS))
-                raise RelationError(
-                    f"unknown storage {storage!r}; expected one of: {options}"
-                ) from None
-            backend = factory(scheme, tuples, **backend_options)
-            self._backends[scheme.name] = backend
-            try:
-                self._check_constraints()
-                if self._durability is not None:
-                    lsn = self._durability.log_commit([durability.create_op(
-                        scheme.name, backend.kind, backend.options(),
-                        scheme, backend.source(),
-                    )])
-            except BaseException:
-                del self._backends[scheme.name]
-                raise
-            self._committed(_relation_write_set(scheme.name))
-        if lsn is not None:
-            self._durability.ensure_durable(lsn)
+        try:
+            factory = BACKENDS[storage]
+        except KeyError:
+            options = ", ".join(sorted(BACKENDS))
+            raise RelationError(
+                f"unknown storage {storage!r}; expected one of: {options}"
+            ) from None
+        backend = factory(scheme, tuples, **backend_options)
+        self._commit(_relation_write_set(scheme.name),
+                     [("create", scheme.name, backend)])
         return backend.source()
 
     def drop_relation(self, name: str) -> None:
@@ -219,27 +199,17 @@ class HistoricalDatabase:
         rolled back) until the constraint is removed.
         """
         self._ensure_mutable("drop a relation")
-        lsn = None
-        with self._concurrency.write():
-            backend = self._backend(name)
-            del self._backends[name]
-            try:
-                self._check_constraints()
-            except HRDMError as exc:
-                self._backends[name] = backend
-                raise RelationError(
-                    f"cannot drop relation {name!r}: a registered constraint "
-                    f"still references it ({exc}); remove the constraint first"
-                ) from exc
-            try:
-                if self._durability is not None:
-                    lsn = self._durability.log_commit([durability.drop_op(name)])
-            except BaseException:
-                self._backends[name] = backend
-                raise
-            self._committed(_relation_write_set(name))
-        if lsn is not None:
-            self._durability.ensure_durable(lsn)
+        try:
+            self._commit(_relation_write_set(name), [("drop", name, None)])
+        except (ConflictError, StorageError):
+            raise  # the pipeline's own refusals, not a constraint's
+        except HRDMError as exc:
+            if name not in self._backends:
+                raise  # never existed, or another drop got there first
+            raise RelationError(
+                f"cannot drop relation {name!r}: a registered constraint "
+                f"still references it ({exc}); remove the constraint first"
+            ) from exc
 
     def relation(self, name: str):
         """The current value of the named relation.
@@ -289,7 +259,7 @@ class HistoricalDatabase:
         re-checked, and the prior value restored on violation.
         """
         self._ensure_mutable("replace a relation")
-        self._install_relation(name, relation)
+        self._commit(_relation_write_set(name), [("install", name, relation)])
 
     # -- lifespan-phrased updates -------------------------------------------
 
@@ -301,15 +271,7 @@ class HistoricalDatabase:
         (scalars become constant functions over the value lifespan).
         """
         self._ensure_mutable("insert")
-
-        def build(base):
-            t = mutations.build_insert(
-                base.scheme, lifespan, values,
-                lambda key: base.get(*key), name,
-            )
-            return t, mutations.delta_insert(t)
-
-        return self._autocommit(name, build)
+        return self._one_op("insert", name, lifespan, values)
 
     def terminate(self, name: str, key: tuple, at: int) -> HistoricalTuple:
         """End an object's current incarnation — its *death* at chronon *at*.
@@ -318,13 +280,7 @@ class HistoricalDatabase:
         strictly before *at*.
         """
         self._ensure_mutable("terminate")
-
-        def build(base):
-            before = self._existing_in(base, name, key)
-            t = mutations.build_terminate(before, at)
-            return t, mutations.delta_terminate(before, t)
-
-        return self._autocommit(name, build)
+        return self._one_op("terminate", name, key, at)
 
     def reincarnate(self, name: str, key: tuple, lifespan: Lifespan,
                     values: Mapping[str, Any]) -> HistoricalTuple:
@@ -334,15 +290,7 @@ class HistoricalDatabase:
         new values extend the object's temporal functions.
         """
         self._ensure_mutable("reincarnate")
-
-        def build(base):
-            merged = mutations.build_reincarnate(
-                base.scheme, self._existing_in(base, name, key),
-                lifespan, values,
-            )
-            return merged, mutations.delta_reincarnate(lifespan)
-
-        return self._autocommit(name, build)
+        return self._one_op("reincarnate", name, key, lifespan, values)
 
     def update(self, name: str, key: tuple, at: int,
                changes: Mapping[str, Any]) -> HistoricalTuple:
@@ -353,14 +301,7 @@ class HistoricalDatabase:
         remainder of the tuple's (and attribute's) lifespan.
         """
         self._ensure_mutable("update")
-
-        def build(base):
-            updated = mutations.build_update(
-                base.scheme, self._existing_in(base, name, key), at, changes
-            )
-            return updated, mutations.delta_update(updated, at)
-
-        return self._autocommit(name, build)
+        return self._one_op("update", name, key, at, changes)
 
     # -- transactions -------------------------------------------------------
 
@@ -409,7 +350,30 @@ class HistoricalDatabase:
 
             updated = db.run_transaction(give_raise)
         """
-        for attempt in range(max(1, attempts)):
+        return self._run_session(body, lambda txn: txn.commit(), attempts)
+
+    def _one_op(self, op: str, *args):
+        """Run one mutation as a one-op transactional session.
+
+        An auto-commit call *is* a transaction that buffers a single
+        :class:`Transaction` op and commits: built against a snapshot
+        with no lock held, validated first-committer-wins, and retried
+        against a fresh snapshot on a lost race — so the caller sees
+        the outcomes a serial schedule would (a duplicate birth fails
+        with :class:`~repro.core.errors.RelationError`, a disjoint-key
+        write simply lands). Only a standing conflict — a stream of
+        relation-granular commits, or an in-doubt prepare pinning the
+        key — exhausts the retries and surfaces the
+        :class:`~repro.core.errors.ConflictError`.
+        """
+        return self._run_session(lambda txn: getattr(txn, op)(*args),
+                                 Transaction._commit)
+
+    def _run_session(self, body, commit, attempts: int = 5):
+        """The conflict-retry loop: *body* on a fresh session, then
+        *commit*, again from the top when the commit loses its race."""
+        attempts = max(1, attempts)
+        for attempt in range(attempts):
             txn = self.transaction()
             try:
                 result = body(txn)
@@ -420,9 +384,9 @@ class HistoricalDatabase:
             if txn.state != "active":  # body committed / rolled back itself
                 return result
             try:
-                txn.commit()
+                commit(txn)
             except ConflictError:
-                if attempt == max(1, attempts) - 1:
+                if attempt == attempts - 1:
                     raise
                 continue
             return result
@@ -442,71 +406,40 @@ class HistoricalDatabase:
         with self._concurrency.write():
             return list(self._prepared_txns)
 
-    def _register_prepared(self, txn_id: str, write_set: WriteSet,
-                           undos: list) -> None:
-        """Pin a live prepare (caller holds the commit lock)."""
-        self._prepared_txns[txn_id] = _PreparedTxn(write_set, undos=undos)
-        self._concurrency.pin_prepared(txn_id, write_set)
+    def _ensure_decided(self, action: str) -> None:
+        """Refuse *action* while a two-phase transaction is in doubt.
 
-    def _stash_prepare_record(self, record) -> None:
-        """Pin a PREPARE record whose ops were *not* applied — the
-        recovery path and the replica stream path. Pinned conservatively
-        at relation granularity: the WAL record does not carry per-key
-        delta lifespans, and an in-doubt window should be short anyway.
-        Caller holds the commit lock (or is still single-threaded in
-        ``__init__``)."""
-        write_set = WriteSet()
-        for op in record.decoded():
-            write_set.record_relation(op[1])
-        self._prepared_txns[record.txn_id] = _PreparedTxn(write_set,
-                                                          record=record)
-        self._concurrency.pin_prepared(record.txn_id, write_set)
-
-    def _take_prepared(self, txn_id: str) -> Optional[_PreparedTxn]:
-        """Unpin and return a prepared transaction's state, or None.
-        Caller holds the commit lock and applies the decision itself
-        (the replica stream path, which must not mint its own decision
-        record — the primary's is already in its log)."""
-        state = self._prepared_txns.pop(txn_id, None)
-        if state is not None:
-            self._concurrency.unpin_prepared(txn_id)
-        return state
+        A checkpoint truncates the log, and a shipped snapshot starts
+        its reader past the current position: either would put a
+        PREPARE record out of reach before a decision resolved it.
+        """
+        pending = self.in_doubt_transactions()
+        if pending:
+            raise StorageError(
+                f"cannot {action} with prepared two-phase transactions "
+                f"pending ({', '.join(sorted(pending))}): their PREPARE "
+                f"records must stay in the log until a decision resolves "
+                f"them")
 
     def resolve_prepared(self, txn_id: str, commit: bool) -> None:
         """Apply the coordinator's decision to a prepared transaction.
 
-        ``commit=True`` makes the prepared ops visible (publishing the
-        write-set exactly as an ordinary commit would — constraints are
-        **not** re-checked; they passed at prepare time, which is what
-        the yes vote promised). ``commit=False`` rolls the backends
-        back (live prepare) or drops the stashed ops (recovered
-        prepare). Either way the decision is logged so a later reopen
-        replays deterministically, and the pinned write-set is
-        released.
+        The decision is logged first, so a later reopen replays
+        deterministically. ``commit=True`` then runs the stashed steps
+        and publishes the write-set exactly as an ordinary commit would
+        — constraints are **not** re-checked; they passed at prepare
+        time, which is what the yes vote promised. ``commit=False``
+        drops the stash. Either way the pinned write-set is released.
         """
         self._ensure_mutable("resolve a prepared transaction")
         lsn = None
         with self._concurrency.write():
-            state = self._prepared_txns.pop(txn_id, None)
-            if state is None:
+            if txn_id not in self._prepared_txns:
                 raise TransactionError(
                     f"no prepared transaction {txn_id!r} on {self.name!r}")
-            try:
-                if commit and state.record is not None:
-                    # Recovered prepare: the ops were stashed at replay,
-                    # apply them now.
-                    self._durability.replay(self, state.record)
-            except BaseException:
-                self._prepared_txns[txn_id] = state
-                raise
             if self._durability is not None:
                 lsn = self._durability.log_decision(txn_id, commit)
-            self._concurrency.unpin_prepared(txn_id)
-            if commit:
-                self._committed(state.write_set)
-            elif state.undos:
-                for undo in reversed(state.undos):
-                    undo()
+            self._decide(txn_id, commit)
         if lsn is not None:
             self._durability.ensure_durable(lsn)
 
@@ -604,12 +537,6 @@ class HistoricalDatabase:
         except KeyError:
             raise RelationError(f"no relation named {name!r}") from None
 
-    def _existing_in(self, base, name: str, key: tuple) -> HistoricalTuple:
-        t = base.get(*tuple(key))
-        if t is None:
-            raise RelationError(f"no tuple with key {tuple(key)!r} in {name!r}")
-        return t
-
     def _committed(self, write_set: WriteSet) -> None:
         """Acknowledge a successful commit: bump the catalog version
         (prepared-statement plan caches key on it) and publish the new
@@ -620,98 +547,116 @@ class HistoricalDatabase:
         self._version += 1
         self._concurrency.committed(self._backends, write_set)
 
-    def _autocommit(self, name: str,
-                    build: Callable[[Any], tuple]) -> HistoricalTuple:
-        """Run one keyed mutation as an optimistic micro-transaction.
+    def _commit(self, write_set: WriteSet, steps: list,
+                snapshot_id: Optional[int] = None,
+                txn_id: Optional[str] = None) -> None:
+        """The commit pipeline — every catalog change runs through here.
 
-        *build* computes ``(tuple, delta_lifespan)`` from the
-        relation's snapshot value — with **no lock held**, so
-        concurrent callers build in parallel. The commit lock then
-        covers only validate / apply / log / publish. When a concurrent
-        commit won the key in between, the operation retries against a
-        fresh snapshot, so the caller sees the same outcomes a serial
-        schedule would (a duplicate birth fails with
-        :class:`~repro.core.errors.RelationError`, a disjoint-key write
-        simply lands). Only a pathological stream of relation-granular
-        commits (DDL, evolution) can exhaust the retries and surface
-        the final :class:`~repro.core.errors.ConflictError`.
+        *steps* are rows of the op table
+        (:data:`repro.database.durability.CATALOG_OPS`); *write_set*
+        names what they touch; *snapshot_id* is the commit the caller
+        built them against (None: nothing was read, so only a pinned
+        prepare can conflict). In order: encode the WAL ops with no
+        lock held; take the commit lock; validate first-committer-wins;
+        run the steps, collecting undo closures; sweep the constraints
+        once over the fully applied state; append **one** WAL record;
+        publish; release the lock; wait for the record's fsync
+        (:meth:`~repro.database.durability.DurabilityManager.ensure_durable`,
+        a leader/follower group sync that overlaps other committers'
+        CPU work). Any failure undoes the steps in reverse and
+        re-raises with the catalog, the log and the published cut
+        untouched.
+
+        With *txn_id* the same pipeline is phase one of a two-phase
+        commit: after the sweep the steps are undone again, a PREPARE
+        record is logged (force-synced before returning, whatever the
+        sync policy — the yes vote must survive a crash) and the steps
+        are stashed under the pinned write-set, so the backends never
+        hold undecided changes.
         """
-        conflict: Optional[ConflictError] = None
-        for _ in range(8):
-            snapshot = self._concurrency.snapshot()
-            base = snapshot.relation(name)
-            if base is None:
-                # Not yet published (or dropped): fall back to the live
-                # catalog lookup for the canonical error / fresh value.
-                base = self._backend(name).source()
-            t, delta = build(base)
-            write_set = WriteSet()
-            write_set.record(name, t.key_value(), delta)
-            changes = {t.key_value(): t}
-            # Encoded outside the lock, like the build: the critical
-            # section below is validate / apply / buffered log append.
-            ops = (None if self._durability is None
-                   else [durability.apply_op(name, changes)])
-            with self._concurrency.write():
-                try:
-                    self._concurrency.validate(write_set,
-                                               snapshot.commit_id)
-                except ConflictError as exc:
-                    conflict = exc
-                    continue
-                lsn = self._apply(name, changes, write_set, ops)
-            if lsn is not None:
-                self._durability.ensure_durable(lsn)
-            return t
-        assert conflict is not None
-        raise conflict
-
-    def _apply(self, name: str, changes: Mapping[tuple, HistoricalTuple],
-               write_set: WriteSet,
-               ops: Optional[list] = None) -> Optional[int]:
-        """Apply a keyed batch to one relation, check, log, roll back on failure.
-
-        Returns the WAL LSN of the (deferred-sync) commit record, or
-        None on a non-durable catalog — the caller acknowledges only
-        after :meth:`DurabilityManager.ensure_durable`, *off* the
-        commit lock.
-        """
-        with self._concurrency.write():
-            undo = self._backend(name).apply(changes)
-            lsn = None
-            try:
-                self._check_constraints()
-                if self._durability is not None:
-                    if ops is None:
-                        ops = [durability.apply_op(name, changes)]
-                    lsn = self._durability.log_commit(ops)
-            except BaseException:
-                undo()
-                raise
-            self._committed(write_set)
-            return lsn
-
-    def _install_relation(self, name: str,
-                          relation: HistoricalRelation) -> None:
-        """Replace a whole relation value, check, log, roll back on failure.
-
-        A relation-granular write: its write-set conflicts with any
-        concurrent optimistic commit touching the relation.
-        """
+        manager = self._durability
+        ops = (None if manager is None
+               else [durability.encode_step(step) for step in steps])
         lsn = None
+        undos: list = []
         with self._concurrency.write():
-            undo = self._backend(name).install(relation)
+            if txn_id in self._prepared_txns:
+                raise TransactionError(
+                    f"transaction id {txn_id!r} is already prepared")
+            if snapshot_id is None:
+                snapshot_id = self._concurrency.published_commits
+            self._concurrency.validate(write_set, snapshot_id)
             try:
+                for step in steps:
+                    undos.append(durability.run_step(self, step))
                 self._check_constraints()
-                if self._durability is not None:
-                    lsn = self._durability.log_commit(
-                        [durability.install_op(name, relation)])
+                if txn_id is None:
+                    if ops:
+                        lsn = manager.log_commit(ops)
+                    self._committed(write_set)
+                else:
+                    while undos:
+                        undos.pop()()
+                    if ops:
+                        lsn = manager.log_prepare(ops, txn_id)
+                    self._stash_prepared(txn_id, write_set, steps)
             except BaseException:
-                undo()
+                while undos:
+                    undos.pop()()
                 raise
-            self._committed(_relation_write_set(name))
         if lsn is not None:
-            self._durability.ensure_durable(lsn)
+            if txn_id is None:
+                manager.ensure_durable(lsn)
+            else:
+                manager.force_durable()
+
+    def _apply_logged(self, record) -> None:
+        """Apply one record that is already in a log — recovery at
+        open, the replica stream. A commit's steps run and publish; a
+        PREPARE's steps are stashed under a pinned write-set (relation
+        granularity: the record carries no per-key delta lifespans); a
+        decision resolves its stash. Nothing is swept (the constraints
+        passed when the record was written) and nothing is re-logged.
+        Caller holds the commit lock.
+        """
+        if record.kind in ("decide-commit", "decide-abort"):
+            self._decide(record.txn_id, record.kind == "decide-commit")
+            return
+        steps = self._durability.decode(self, record)
+        if record.kind == "prepare":
+            steps = list(steps)
+            self._stash_prepared(
+                record.txn_id,
+                _relation_write_set(*(name for _, name, _ in steps)), steps)
+        else:
+            self._redo(steps, None)
+
+    def _stash_prepared(self, txn_id: str, write_set: WriteSet,
+                        steps: list) -> None:
+        """Pin a prepare's write-set and keep its steps for the
+        decision (caller holds the commit lock)."""
+        self._prepared_txns[txn_id] = _PreparedTxn(write_set, steps)
+        self._concurrency.pin_prepared(txn_id, write_set)
+
+    def _decide(self, txn_id: str, commit: bool) -> None:
+        """Unpin a stashed prepare and drop it or make it real (caller
+        holds the commit lock and has the decision on record). An
+        unknown id is a no-op."""
+        state = self._prepared_txns.pop(txn_id, None)
+        self._concurrency.unpin_prepared(txn_id)
+        if commit and state is not None:
+            self._redo(state.steps, state.write_set)
+
+    def _redo(self, steps, write_set: Optional[WriteSet]) -> None:
+        """Run steps that were validated, swept and logged before, then
+        publish them (*write_set* None: relation-granular over the
+        relations the steps name)."""
+        names = []
+        for step in steps:
+            durability.run_step(self, step)
+            names.append(step[1])
+        self._committed(_relation_write_set(*names)
+                        if write_set is None else write_set)
 
     def _env(self) -> dict[str, Any]:
         """The planner / executor environment: name → tuple source.
@@ -733,13 +678,18 @@ class HistoricalDatabase:
         Constraints are re-checked through the same install / restore
         path as every other mutation, so a violating evolution leaves
         the catalog untouched.
+
+        Pessimistic, like :meth:`replace`: the re-homed value is built
+        from the live relation with the commit lock held, so keyed
+        commits landing meanwhile wait instead of invalidating it —
+        only an in-doubt prepare pinning the relation conflicts.
         """
         self._ensure_mutable("evolve a scheme")
         with self._concurrency.write():
-            backend = self._backend(name)
-            rehomed = mutations.rehome(backend.source(), new_scheme, name)
-            self._install_relation(
-                name, HistoricalRelation(new_scheme, rehomed))
+            rehomed = mutations.rehome(self._backend(name).source(),
+                                       new_scheme, name)
+            self._commit(_relation_write_set(name), [
+                ("install", name, HistoricalRelation(new_scheme, rehomed))])
 
     # -- constraints ---------------------------------------------------------
 

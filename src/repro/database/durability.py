@@ -17,10 +17,18 @@ manager makes three promises about the directory behind it:
    of that protocol recovers to a state that equals some committed
    state — never a torn mix.
 3. **Reopen replays to the last commit.** ``open()`` loads the
-   manifest's snapshots, then replays the WAL's complete records
-   (skipping stale generations, stopping at a torn tail) through the
-   normal backend apply/install paths — without re-running integrity
-   constraints, which already passed when the record was written.
+   manifest's snapshots, then feeds the WAL's complete records
+   (skipping stale generations, stopping at a torn tail) to
+   ``HistoricalDatabase._apply_logged`` — the commit / prepare /
+   decide state machine a replica's stream runs too — without
+   re-running integrity constraints, which already passed when the
+   record was written.
+
+The module also owns the **op table** (:data:`CATALOG_OPS`): the four
+ways a catalog changes — ``apply``, ``install``, ``create``, ``drop`` —
+each stated once as *run* (returning its undo), *encode* (the WAL op)
+and *decode*. The commit pipeline, recovery, replicas and stashed
+two-phase prepares all speak lists of steps (:data:`Step`) over it.
 
 The recovery invariant is property-tested in
 ``tests/test_durability.py``: truncate or corrupt the log at *any*
@@ -31,13 +39,15 @@ the last surviving commit.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Mapping, Optional
+from functools import partial
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, Mapping,
+                    NamedTuple, Optional, Tuple)
 
 from repro.core.domains import ValueDomain
-from repro.core.errors import RecoveryError, StorageError
+from repro.core.errors import RecoveryError, RelationError, StorageError
 from repro.core.relation import HistoricalRelation
-from repro.core.scheme import RelationScheme
 from repro.core.tuples import HistoricalTuple
+from repro.database.backends import BACKENDS
 from repro.storage import pager as pager_mod
 from repro.storage import wal as wal_mod
 from repro.storage.engine import decode_tuple, encode_tuple
@@ -48,7 +58,33 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.database.database import HistoricalDatabase
 
 
-# -- op builders (commit-time encoding) --------------------------------------
+# -- the catalog-op table -----------------------------------------------------
+
+#: One unit of catalog change: ``(op, relation name, payload)``. The
+#: payload is the keyed batch (``apply``), the new relation value
+#: (``install``), the ready-built backend (``create``) or None (``drop``).
+Step = Tuple[str, str, Any]
+
+
+def _run_apply(db, name: str, changes: Mapping[tuple, HistoricalTuple]):
+    return db._backend(name).apply(changes)
+
+
+def _run_install(db, name: str, relation: HistoricalRelation):
+    return db._backend(name).install(relation)
+
+
+def _run_create(db, name: str, backend):
+    if name in db._backends:
+        raise RelationError(f"relation {name!r} already exists")
+    db._backends[name] = backend
+    return partial(db._backends.pop, name)
+
+
+def _run_drop(db, name: str, _):
+    backend = db._backend(name)
+    del db._backends[name]
+    return partial(db._backends.__setitem__, name, backend)
 
 
 def apply_op(name: str, changes: Mapping[tuple, HistoricalTuple]) -> bytes:
@@ -66,18 +102,80 @@ def install_op(name: str, relation: HistoricalRelation) -> bytes:
     )
 
 
-def create_op(name: str, kind: str, options: dict,
-              scheme: RelationScheme, tuples) -> bytes:
+def create_op(name: str, backend) -> bytes:
     """Encode a new catalog entry with its initial contents."""
     return wal_mod.encode_create(
-        name, kind, options, pager_mod.scheme_to_json(scheme),
-        (encode_tuple(t) for t in tuples),
+        name, backend.kind, backend.options(),
+        pager_mod.scheme_to_json(backend.scheme),
+        (encode_tuple(t) for t in backend.source()),
     )
 
 
-def drop_op(name: str) -> bytes:
+def drop_op(name: str, _) -> bytes:
     """Encode a catalog entry removal."""
     return wal_mod.encode_drop(name)
+
+
+def _decode_apply(db, domains, name: str, blobs):
+    scheme = db._backend(name).scheme
+    changes = {}
+    for blob in blobs:
+        t = decode_tuple(blob, scheme)
+        changes[t.key_value()] = t
+    return changes
+
+
+def _decode_install(db, domains, name: str, scheme_json: str, blobs):
+    scheme = pager_mod.scheme_from_json(scheme_json, domains)
+    return HistoricalRelation(
+        scheme, [decode_tuple(blob, scheme) for blob in blobs])
+
+
+def _decode_create(db, domains, name: str, kind: str, options: dict,
+                   scheme_json: str, blobs):
+    scheme = pager_mod.scheme_from_json(scheme_json, domains)
+    return BACKENDS[kind](
+        scheme, [decode_tuple(blob, scheme) for blob in blobs], **options)
+
+
+def _decode_drop(db, domains, name: str):
+    return None
+
+
+class CatalogOp(NamedTuple):
+    """One of the four ways a catalog changes, stated once.
+
+    ``run(db, name, payload)`` makes the change in memory and returns
+    the closure that undoes it; ``encode(name, payload)`` is its WAL
+    op; ``decode(db, domains, name, *fields)`` rebuilds the payload
+    from a decoded WAL op (:func:`repro.storage.wal.decode_op`).
+    """
+
+    run: Callable
+    encode: Callable
+    decode: Callable
+
+
+#: The op table: every commit, every logged record and every stashed
+#: prepare is a list of steps (:data:`Step`) over these four rows.
+CATALOG_OPS = {
+    "apply": CatalogOp(_run_apply, apply_op, _decode_apply),
+    "install": CatalogOp(_run_install, install_op, _decode_install),
+    "create": CatalogOp(_run_create, create_op, _decode_create),
+    "drop": CatalogOp(_run_drop, drop_op, _decode_drop),
+}
+
+
+def run_step(db: "HistoricalDatabase", step: Step) -> Callable[[], Any]:
+    """Make one step's change in memory; returns its undo closure."""
+    op, name, payload = step
+    return CATALOG_OPS[op].run(db, name, payload)
+
+
+def encode_step(step: Step) -> bytes:
+    """One step as a WAL op."""
+    op, name, payload = step
+    return CATALOG_OPS[op].encode(name, payload)
 
 
 class DurabilityManager:
@@ -91,12 +189,6 @@ class DurabilityManager:
         self.generation = 0
         self._domains = dict(domains or {})
         self._closed = False
-        #: Prepared-but-undecided transactions found by :meth:`open`:
-        #: txn_id → the PREPARE :class:`CommitRecord` (ops unapplied).
-        #: Presumed abort — the owner must resolve each against the
-        #: coordinator's decision log (see :mod:`repro.sharding`) and
-        #: call :meth:`log_decision` + replay-or-drop accordingly.
-        self.recovered_in_doubt: dict[str, CommitRecord] = {}
 
     @property
     def path(self) -> str:
@@ -136,8 +228,6 @@ class DurabilityManager:
         db.name = manifest["name"]
         db.time_domain = pager_mod.time_domain_from_dict(manifest["time_domain"])
         self.generation = manifest["generation"]
-        from repro.database.backends import BACKENDS
-
         for rel_name, meta in manifest["relations"].items():
             scheme = pager_mod.scheme_from_dict(meta["scheme"], self._domains)
             raw = self.pager.read_snapshot(rel_name, self.generation)
@@ -151,7 +241,6 @@ class DurabilityManager:
         self.wal.epoch = int(manifest.get("epoch", 0))
         records = self.wal.recover()
         self.wal.generation = self.generation
-        prepared: dict[str, CommitRecord] = {}
         for record in records:
             if record.generation < self.generation:
                 continue  # predates the checkpoint; already in the snapshot
@@ -160,66 +249,27 @@ class DurabilityManager:
                     f"WAL record generation {record.generation} is ahead of "
                     f"the manifest ({self.generation}); refusing to guess"
                 )
-            if record.kind == "prepare":
-                # Voted yes, decision unknown so far: the ops stay
-                # stashed until a decision record (or the coordinator,
-                # after replay) resolves them.
-                prepared[record.txn_id] = record
-            elif record.kind == "decide-commit":
-                stash = prepared.pop(record.txn_id, None)
-                if stash is not None:
-                    self.replay(db, stash)
-                    db._version += 1
-            elif record.kind == "decide-abort":
-                prepared.pop(record.txn_id, None)
-            else:
-                self.replay(db, record)
-                db._version += 1
+            # An undecided PREPARE stays stashed on *db* — presumed
+            # abort: the owner resolves it against the coordinator's
+            # decision log (see :mod:`repro.sharding`).
+            db._apply_logged(record)
             if record.epoch > self.wal.epoch:
                 self.wal.epoch = record.epoch
-        self.recovered_in_doubt = prepared
         # Restore the LSN floor: a checkpoint-emptied log carries no
         # records to speak for the counter, and replication positions
         # must stay monotone across restarts.
         self.wal.ensure_lsn(int(manifest.get("wal_lsn", 0)))
 
-    def replay(self, db: "HistoricalDatabase", record: CommitRecord) -> None:
-        """Apply one committed record through the backend write paths.
+    def decode(self, db: "HistoricalDatabase",
+               record: CommitRecord) -> Iterator[Step]:
+        """The steps of a logged record, through the op table.
 
-        Constraints are *not* re-checked: the record was only written
-        because they passed at commit time. Recovery replays the
-        surviving log through here at open; a **replica**
-        (:mod:`repro.replication`) replays its primary's streamed
-        records through the same path, so a replicated catalog is
-        byte-for-byte the recovered one.
+        Lazy on purpose: each step is decoded right before the caller
+        runs it, against the schemes the steps before it left behind.
         """
-        from repro.database.backends import BACKENDS
-
-        for op in record.decoded():
-            tag = op[0]
-            if tag == "apply":
-                _, name, blobs = op
-                backend = db._backends[name]
-                changes = {}
-                for blob in blobs:
-                    t = decode_tuple(blob, backend.scheme)
-                    changes[t.key_value()] = t
-                backend.apply(changes)
-            elif tag == "install":
-                _, name, scheme_json, blobs = op
-                scheme = pager_mod.scheme_from_json(scheme_json, self._domains)
-                tuples = [decode_tuple(blob, scheme) for blob in blobs]
-                db._backends[name].install(HistoricalRelation(scheme, tuples))
-            elif tag == "create":
-                _, name, kind, options, scheme_json, blobs = op
-                scheme = pager_mod.scheme_from_json(scheme_json, self._domains)
-                tuples = [decode_tuple(blob, scheme) for blob in blobs]
-                db._backends[name] = BACKENDS[kind](scheme, tuples, **options)
-            elif tag == "drop":
-                _, name = op
-                del db._backends[name]
-            else:  # pragma: no cover - decode_op already rejects these
-                raise RecoveryError(f"unknown WAL op {tag!r}")
+        for tag, name, *fields in record.decoded():
+            yield tag, name, CATALOG_OPS[tag].decode(
+                db, self._domains, name, *fields)
 
     # -- commit logging ----------------------------------------------------
 
@@ -330,13 +380,7 @@ class DurabilityManager:
         positions. It must advance the current generation.
         """
         self._ensure_open()
-        pending = db.in_doubt_transactions()
-        if pending:
-            raise StorageError(
-                f"cannot checkpoint with prepared two-phase transactions "
-                f"pending ({', '.join(sorted(pending))}): truncating the "
-                f"log would drop their PREPARE records before a decision "
-                f"resolved them")
+        db._ensure_decided("checkpoint")
         if generation is None:
             new_generation = self.generation + 1
         elif generation <= self.generation:

@@ -3,12 +3,10 @@
 Section 1 of the paper phrases updates in terms of object lifespans:
 birth (insert), death (terminate), rebirth (reincarnate), and new
 values from a chronon onwards (update). The functions here compute the
-*resulting tuple* for each operation without touching any catalog —
-:class:`~repro.database.database.HistoricalDatabase` applies them and
-checks constraints immediately, while
+*resulting tuple* for each operation without touching any catalog;
 :class:`~repro.database.session.Transaction` applies them against its
-buffered overlay and defers the constraint sweep to commit. One
-implementation, two consistency disciplines.
+buffered overlay, and the database's auto-commit methods are one-op
+sessions over the same class.
 
 Every function raises :class:`~repro.core.errors.RelationError` on an
 illegal operation (duplicate birth, overlapping reincarnation, update

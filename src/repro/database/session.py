@@ -14,9 +14,12 @@ lock** — many sessions build their changes at once:
   reincarnates / schema evolutions) land in a per-relation overlay and
   are recorded in a :class:`~repro.database.concurrency.WriteSet`
   together with the *delta lifespan* each write modifies;
-* at commit the per-relation batches and the write-ahead-log record
-  are prepared **outside** the commit lock; the short critical section
-  is validate → apply → log → publish. Validation is
+* at commit the session turns its overlays into **steps** — one
+  ``apply`` (keyed batch) or ``install`` (evolved relation) per touched
+  relation — and hands them, with the write-set and the snapshot's
+  commit id, to the database's one commit pipeline
+  (``HistoricalDatabase._commit``): encode outside the commit lock,
+  then validate → run → sweep → log → publish inside it. Validation is
   first-committer-wins: if any commit newer than the session's
   snapshot wrote an overlapping ``(relation, key)`` — or touched a
   relation this session evolved / that was evolved under it — the
@@ -24,9 +27,13 @@ lock** — many sessions build their changes at once:
   :class:`~repro.core.errors.ConflictError` and the catalog is left
   exactly as if the session never existed
   (``HistoricalDatabase.run_transaction`` wraps the retry loop);
-* the constraint sweep runs **once**, over the fully applied state,
-  and any failure — constraint violation, conflict, log append error —
-  calls the backends' undo closures in reverse order.
+* the database's own ``insert`` / ``update`` / ``terminate`` /
+  ``reincarnate`` are one-op sessions over this class, so the
+  buffering and write-set rules here are the only copy;
+* :meth:`Transaction.prepare` is the same hand-off with a transaction
+  id: the pipeline stops after the sweep, takes the changes back out
+  and stashes the steps under the pinned write-set (see
+  ``HistoricalDatabase.resolve_prepared``).
 
 Usage::
 
@@ -50,7 +57,7 @@ from repro.core.lifespan import Lifespan
 from repro.core.relation import HistoricalRelation
 from repro.core.scheme import RelationScheme
 from repro.core.tuples import HistoricalTuple
-from repro.database import durability, mutations
+from repro.database import mutations
 from repro.database.concurrency import Snapshot, WriteSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -136,153 +143,74 @@ class Transaction:
     def commit(self) -> None:
         """Validate and apply every buffered change atomically.
 
-        The batches (one
+        The steps (one
         :meth:`~repro.core.relation.HistoricalRelation.with_tuples`
-        pass or one storage-engine batch per touched relation) and the
-        write-ahead-log record are built first, with no lock held. The
-        commit lock then covers only: first-committer-wins
-        **validation** of the write-set against every commit since this
-        session's snapshot (a loss raises the retryable
-        :class:`~repro.core.errors.ConflictError` and rolls back),
-        batch application, one constraint sweep over the fully applied
-        state, the WAL append — on a durable database the whole
+        pass or one storage-engine batch per touched relation) go
+        through the database's commit pipeline
+        (``HistoricalDatabase._commit``): the write-ahead-log record is
+        encoded with no lock held; the commit lock then covers only
+        first-committer-wins **validation** of the write-set against
+        every commit since this session's snapshot (a loss raises the
+        retryable :class:`~repro.core.errors.ConflictError` and rolls
+        back), batch application, one constraint sweep over the fully
+        applied state, the WAL append — on a durable database the whole
         transaction is **one** log record — and snapshot publication.
-        The record's fsync runs *after* the lock is released
-        (:meth:`~repro.database.durability.DurabilityManager.ensure_durable`,
-        a leader/follower group sync), and the commit only returns
-        once it is durable per the sync policy. Any failure restores
-        every relation (in reverse application order) and re-raises
-        with the catalog untouched.
+        The record's fsync runs *after* the lock is released, and the
+        commit only returns once it is durable per the sync policy. Any
+        failure restores every relation (in reverse application order)
+        and re-raises with the catalog untouched.
         """
-        self._ensure_active()
-        db = self._db
-        db._ensure_mutable("commit a transaction")
-        durable = db._durability is not None
-        try:
-            # Prepared outside the commit lock: concurrent sessions
-            # build their final relation values and encode their log
-            # records in parallel.
-            batches: list[tuple] = []
-            ops: list[bytes] = []
-            for name, pending in self._pending.items():
-                if pending.replaced is not None:
-                    final = pending.replaced.with_tuples(
-                        pending.overlay.values())
-                    batches.append((name, final, None))
-                    if durable:
-                        ops.append(durability.install_op(name, final))
-                elif pending.overlay:
-                    batches.append((name, None, pending.overlay))
-                    if durable:
-                        ops.append(durability.apply_op(name, pending.overlay))
-            undos = []
-            lsn = None
-            with db._concurrency.write():
-                try:
-                    db._concurrency.validate(self._write_set,
-                                             self._snapshot.commit_id)
-                    for name, final, overlay in batches:
-                        backend = db._backend(name)
-                        if final is not None:
-                            undos.append(backend.install(final))
-                        else:
-                            undos.append(backend.apply(overlay))
-                    db._check_constraints()
-                    if durable and ops:
-                        lsn = db._durability.log_commit(ops)
-                except BaseException:
-                    for undo in reversed(undos):
-                        undo()
-                    raise
-                if undos:
-                    # One publish for the whole transaction: concurrent
-                    # readers see all of its relations change together.
-                    db._committed(self._write_set)
-            if lsn is not None:
-                # Off the commit lock: the group fsync (leader/follower,
-                # see the WAL) runs while other sessions commit.
-                db._durability.ensure_durable(lsn)
-        except BaseException:
-            self._finish("rolled-back")
-            raise
-        self._finish("committed")
+        self._commit()
 
     def prepare(self, txn_id: str) -> None:
         """Phase one of a two-phase commit: vote yes and go in doubt.
 
-        Runs everything :meth:`commit` runs — first-committer-wins
-        validation, batch application, the single constraint sweep —
-        but instead of a commit record it logs a **PREPARE** record
-        (force-synced regardless of sync policy: the yes vote must
-        survive a crash) and instead of publishing it **pins** the
-        write-set: the applied changes stay invisible to readers and
-        conflict with every other committer until
-        :meth:`HistoricalDatabase.resolve_prepared` applies the
+        Runs everything :meth:`commit` runs up to the constraint sweep
+        — first-committer-wins validation, batch application, the
+        single sweep — then takes the changes back out of the
+        backends: instead of a commit record it logs a **PREPARE**
+        record (force-synced regardless of sync policy: the yes vote
+        must survive a crash) and instead of publishing it **pins**
+        the write-set and stashes the steps. The prepared changes are
+        invisible to readers and conflict with every other committer
+        until :meth:`HistoricalDatabase.resolve_prepared` applies the
         coordinator's decision. Failure anywhere (validation loss,
-        constraint violation, log error) is a **no vote**: the backends
-        are restored and the session rolls back, exactly like a failed
-        commit.
+        constraint violation, log error) is a **no vote**: the session
+        rolls back, exactly like a failed commit.
 
         The session itself ends here — the decision belongs to the
         database (a coordinator may deliver it on another connection,
         or after a crash-reopen).
         """
         self._ensure_active()
-        db = self._db
-        db._ensure_mutable("prepare a transaction")
         if not txn_id:
             raise TransactionError("a prepare needs a transaction id")
-        durable = db._durability is not None
+        self._commit(txn_id)
+
+    def _commit(self, txn_id: Optional[str] = None) -> None:
+        """Hand the buffered steps to the database's commit pipeline —
+        as a commit, or with *txn_id* as a prepare."""
+        self._ensure_active()
+        action = "commit" if txn_id is None else "prepare"
+        self._db._ensure_mutable(f"{action} a transaction")
         try:
-            batches: list[tuple] = []
-            ops: list[bytes] = []
+            steps: list = []
             for name, pending in self._pending.items():
                 if pending.replaced is not None:
-                    final = pending.replaced.with_tuples(
-                        pending.overlay.values())
-                    batches.append((name, final, None))
-                    if durable:
-                        ops.append(durability.install_op(name, final))
+                    steps.append(("install", name, pending.replaced.with_tuples(
+                        pending.overlay.values())))
                 elif pending.overlay:
-                    batches.append((name, None, pending.overlay))
-                    if durable:
-                        ops.append(durability.apply_op(name, pending.overlay))
-            if not batches:
+                    steps.append(("apply", name, pending.overlay))
+            if steps:
+                self._db._commit(self._write_set, steps,
+                                 self._snapshot.commit_id, txn_id)
+            elif txn_id is not None:
                 raise TransactionError(
                     f"transaction {txn_id!r} has nothing to prepare")
-            undos = []
-            lsn = None
-            with db._concurrency.write():
-                if txn_id in db._prepared_txns:
-                    raise TransactionError(
-                        f"transaction id {txn_id!r} is already prepared")
-                try:
-                    db._concurrency.validate(self._write_set,
-                                             self._snapshot.commit_id)
-                    for name, final, overlay in batches:
-                        backend = db._backend(name)
-                        if final is not None:
-                            undos.append(backend.install(final))
-                        else:
-                            undos.append(backend.apply(overlay))
-                    db._check_constraints()
-                    if durable and ops:
-                        lsn = db._durability.log_prepare(ops, txn_id)
-                except BaseException:
-                    for undo in reversed(undos):
-                        undo()
-                    raise
-                db._register_prepared(txn_id, self._write_set, undos)
-            if lsn is not None:
-                # Off the commit lock, but *before* the yes vote
-                # returns: a prepare that is not on stable storage
-                # could be presumed aborted after a crash even though
-                # the coordinator went on to decide commit.
-                db._durability.force_durable()
         except BaseException:
             self._finish("rolled-back")
             raise
-        self._finish("prepared")
+        self._finish("committed" if txn_id is None else "prepared")
 
     def rollback(self) -> None:
         """Discard every buffered change; the catalog was never touched."""

@@ -26,11 +26,11 @@ The moving parts:
 
 * **The replica replays through the recovery path.** A
   :class:`~repro.replication.replica.ReplicaServer` applies each
-  streamed record via the same
-  :meth:`~repro.database.durability.DurabilityManager.replay` that
-  crash recovery uses, appends it to its *own* log under the primary's
-  exact ``(generation, lsn)`` identity, and publishes the new committed
-  cut through the MVCC machinery — so replica reads are
+  streamed record via the same ``HistoricalDatabase._apply_logged``
+  state machine that crash recovery uses, appends it to its *own* log
+  under the primary's exact ``(generation, lsn)`` identity, and
+  publishes the new committed cut through the MVCC machinery — so
+  replica reads are
   byte-for-byte the primary's, snapshot-isolated, and never torn. A
   primary checkpoint observed mid-stream (the generation stamp jumps)
   is mirrored as a local checkpoint under the primary's generation

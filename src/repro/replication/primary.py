@@ -137,9 +137,14 @@ def _capture_snapshot(db: "HistoricalDatabase",
 
     Captured under the commit lock: no commit can land between reading
     the position and serializing the backends, so streaming from the
-    returned LSN afterwards is gapless and overlap-free.
+    returned LSN afterwards is gapless and overlap-free. Refused while
+    a two-phase transaction is in doubt — the same rule as
+    ``checkpoint``: the position would already cover the PREPARE
+    record, so the replica would never receive the stashed steps its
+    decision applies. The subscriber's reconnect loop retries.
     """
     with db._concurrency.write():
+        db._ensure_decided("ship a snapshot")
         generation, lsn = manager.position
         relations = [
             {
@@ -232,8 +237,10 @@ def _ship(owner, db, manager, connection, replica_id,
             records = reader.poll()
         except WALGapError:
             # A checkpoint truncated records the replica still needs.
-            protocol.send_frame(sock, {"op": "resync"})
+            # Captured first: a refusal must reach the replica as an
+            # error frame, not in place of the announced snapshot.
             header, relations = _capture_snapshot(db, manager)
+            protocol.send_frame(sock, {"op": "resync"})
             protocol.send_frame(sock, dict(header, op="snapshot"))
             _send_snapshot(sock, header, relations)
             reader = WALReader(wal_path, after_lsn=header["lsn"])

@@ -11,10 +11,9 @@ A :class:`ReplicaServer` owns three cooperating pieces:
   install a shipped snapshot when the handshake says so, then apply
   streamed commit records one by one — each is appended to the local
   WAL under the primary's exact identity
-  (:meth:`~repro.storage.wal.WriteAheadLog.append_record`), replayed
-  through the recovery path
-  (:meth:`~repro.database.durability.DurabilityManager.replay`), and
-  published as a fresh committed cut through the MVCC machinery, so a
+  (:meth:`~repro.storage.wal.WriteAheadLog.append_record`), then
+  applied and published as a fresh committed cut by the recovery
+  path's own state machine (``HistoricalDatabase._apply_logged``), so a
   reader mid-query keeps its snapshot and never sees half a commit.
   Disconnects trigger reconnection with exponential backoff; a
   generation jump in the stream (the primary checkpointed) is mirrored
@@ -46,7 +45,6 @@ from repro import faults as faults_mod
 from repro.core.domains import ValueDomain
 from repro.core.errors import (FencedError, PromotionError, ReplicaLagError,
                                ReplicationError)
-from repro.database.concurrency import WriteSet
 from repro.database.database import HistoricalDatabase
 from repro.server import DatabaseServer, protocol
 from repro.storage import pager as pager_mod
@@ -399,28 +397,14 @@ class ReplicaServer(DatabaseServer):
             # directories keep identical (generation, lsn) coordinates.
             with db._concurrency.write():
                 manager.checkpoint(db, generation=record.generation)
-        write_set = WriteSet()
-        for op in record.decoded():
-            write_set.record_relation(op[1])
         with db._concurrency.write():
             manager.wal.append_record(record.generation, record.lsn,
                                       record.ops, epoch=record.epoch,
                                       kind=record.kind, txn_id=record.txn_id)
-            if record.kind == "prepare":
-                # Mirror the primary's in-doubt window: stash the ops,
-                # apply them only when the decision record arrives (or
-                # at reopen, where recovery replays the same dance).
-                db._stash_prepare_record(record)
-            elif record.kind in ("decide-commit", "decide-abort"):
-                state = db._take_prepared(record.txn_id)
-                if state is not None and record.kind == "decide-commit":
-                    manager.replay(db, state.record)
-                    db._version += 1
-                    db._concurrency.committed(db._backends, state.write_set)
-            else:
-                manager.replay(db, record)
-                db._version += 1
-                db._concurrency.committed(db._backends, write_set)
+            # The same state machine recovery runs at reopen: a commit
+            # applies and publishes, a PREPARE is stashed until its
+            # decision record arrives.
+            db._apply_logged(record)
         self._adopt_epoch(record.epoch)
         self._set_applied(record.generation, record.lsn)
 

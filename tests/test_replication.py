@@ -248,6 +248,25 @@ class TestStreaming:
             assert {"Before", "After"} <= names
             assert _cut(rep.db) == _cut(db)
 
+    @pytest.mark.parametrize("commit", [True, False])
+    def test_two_phase_records_stream_through_the_stash(self, primary,
+                                                        tmp_path, commit):
+        db, server = primary
+        with ReplicaServer(str(tmp_path / "replica"), server.address) as rep:
+            _insert(db, "a")
+            txn = db.transaction()
+            _insert(txn, "b")
+            txn.prepare("t1")
+            _insert(db, "c")  # a disjoint commit inside the window
+            _await(lambda: rep.applied == db._durability.position)
+            assert rep.db.in_doubt_transactions() == ["t1"]
+            assert _cut(rep.db) == _cut(db)  # "b" is visible on neither
+            db.resolve_prepared("t1", commit)
+            _await(lambda: rep.applied == db._durability.position)
+            assert rep.db.in_doubt_transactions() == []
+            assert _cut(rep.db) == _cut(db)
+            assert len(_cut(db)) == (3 if commit else 2)
+
     def test_replica_refuses_writes(self, primary, tmp_path):
         _, server = primary
         with ReplicaServer(str(tmp_path / "replica"), server.address) as rep:
@@ -316,6 +335,30 @@ class TestSnapshotBootstrap:
         with ReplicaServer(str(tmp_path / "replica"), server.address) as rep:
             _await(lambda: rep.applied == db._durability.position)
             assert _cut(rep.db) == _cut(db)
+
+    @pytest.mark.parametrize("commit", [True, False])
+    def test_bootstrap_waits_out_an_in_doubt_window(self, primary, tmp_path,
+                                                    commit):
+        """A snapshot's position would already cover the PREPARE record,
+        so the replica could never apply its decision: the primary
+        refuses the snapshot (as it refuses a checkpoint) and the
+        replica's sync loop retries until the window closes."""
+        db, server = primary
+        _insert(db, "a")
+        db.checkpoint()  # a fresh replica must bootstrap from a snapshot
+        txn = db.transaction()
+        _insert(txn, "b")
+        txn.prepare("t1")
+        with ReplicaServer(str(tmp_path / "replica"), server.address,
+                           backoff_cap=0.1) as rep:
+            _await(lambda: "prepared two-phase" in str(
+                rep._status_extra()["replica"]["last_error"]), timeout=20)
+            assert len(rep.db.relations()) == 0  # nothing installed yet
+            db.resolve_prepared("t1", commit)
+            _insert(db, "c")
+            _await(lambda: rep.applied == db._durability.position)
+            assert _cut(rep.db) == _cut(db)
+            assert len(_cut(db)) == (3 if commit else 2)
 
     def test_rejoin_across_missed_checkpoints(self, primary, tmp_path):
         db, server = primary

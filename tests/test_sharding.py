@@ -383,6 +383,62 @@ class TestPreparedTransactions:
             db.resolve_prepared("txn-ghost", commit=True)
         db.close()
 
+    @pytest.mark.parametrize("storage", ["memory", "disk"])
+    @pytest.mark.parametrize("commit", [True, False])
+    def test_in_doubt_window_is_invisible_and_loses_no_acked_commit(
+            self, tmp_path, storage, commit):
+        """A prepare leaves nothing applied: a disjoint-key commit inside
+        the window neither publishes the undecided tuple nor is undone
+        by an abort decision."""
+        path = str(tmp_path / "db")
+        db = HistoricalDatabase(path=path, sync="always")
+        db.create_relation(_scheme(), storage=storage)
+        for name in ("a", "d"):
+            _insert(db, name, 1)
+        txn = db.transaction()
+        _insert(txn, "b", 2)
+        txn.prepare("t1")
+
+        def visible() -> list:
+            assert _rows(db.relations()["EMP"]) == _rows(db["EMP"])
+            return sorted(t.key_value()[0] for t in
+                          db.query("SELECT IF SALARY >= 0 IN EMP").relation)
+
+        assert visible() == ["a", "d"]
+        _insert(db, "c", 3)  # acknowledged inside the window
+        assert visible() == ["a", "c", "d"]
+        db.resolve_prepared("t1", commit)
+        _insert(db, "e", 4)
+        expected = ["a", "b", "c", "d", "e"] if commit else ["a", "c", "d", "e"]
+        assert visible() == expected
+        live = _rows(db["EMP"])
+        db.close()
+        reopened = HistoricalDatabase(path=path)
+        assert _rows(reopened["EMP"]) == live
+        reopened.close()
+
+    @pytest.mark.parametrize("entry_point", [
+        lambda db: db.replace("EMP", db["EMP"].to_relation()),
+        lambda db: db.evolve_scheme("EMP", _scheme()),
+        lambda db: db.drop_relation("EMP"),
+        lambda db: db.create_relation(_scheme(), storage="disk"),
+    ], ids=["replace", "evolve_scheme", "drop_relation", "create_relation"])
+    def test_relation_granular_writes_respect_the_pin(self, tmp_path,
+                                                      entry_point):
+        db = self._open(tmp_path)
+        _insert(db, "a", 1)
+        txn = db.transaction()
+        _insert(txn, "b", 2)
+        txn.prepare("t1")
+        before = _rows(db["EMP"])
+        with pytest.raises(ConflictError,
+                           match="in-doubt two-phase transaction 't1'"):
+            entry_point(db)
+        assert _rows(db["EMP"]) == before
+        db.resolve_prepared("t1", commit=True)
+        assert len(db["EMP"]) == 2
+        db.close()
+
 
 # ---------------------------------------------------------------------------
 # The router: forward / fanout / gather, conservative pinning.
@@ -835,6 +891,28 @@ class TestInDoubtResolution:
         with cluster.connect() as session:
             assert len(session.query(
                 "SELECT IF SALARY = 99 IN EMP").snapshot(7)) == 1
+
+    def test_ddl_to_a_shard_in_doubt_is_refused_until_decided(self, cluster):
+        worker = cluster.workers[1]
+        name = _names_on_shard(1, 2, 1)[0]
+        self._prepare_on(worker, "txn-pins-emp", name, 55)
+        evolved = RelationScheme("EMP", {
+            "NAME": domains.cd(domains.STRING),
+            "SALARY": domains.td(domains.INTEGER),
+            "DEPT": domains.td(domains.STRING),
+            "BONUS": domains.td(domains.INTEGER),
+        }, key=["NAME"])
+        with cluster.connect() as session:
+            with pytest.raises(ConflictError, match="in-doubt"):
+                session.evolve_scheme("EMP", evolved)
+            for shard in cluster.workers:  # refused atomically
+                assert "BONUS" not in shard.db.scheme("EMP")
+            worker.db.resolve_prepared("txn-pins-emp", commit=True)
+            session.evolve_scheme("EMP", evolved)
+            for shard in cluster.workers:
+                assert "BONUS" in shard.db.scheme("EMP")
+            assert len(session.query(
+                "SELECT IF SALARY = 55 IN EMP").snapshot(7)) == 1
 
     def test_resolve_op_answers_presumed_abort_over_the_wire(self, cluster):
         cluster.coordinator.decisions.record("txn-known", "commit")
