@@ -75,21 +75,21 @@ def select_when_window(t, predicate: Predicate,
 def slice_tuple(t: HistoricalTuple, lifespan: Lifespan) -> Optional[HistoricalTuple]:
     """``τ_L`` for one tuple: ``t|_{L ∩ t.l}``, or None when empty.
 
-    Fast path: when ``t.l ⊆ L`` the restriction is the identity, so the
-    tuple is returned as-is without rebuilding — this is what makes a
-    wide (non-selective) slice stream at scan speed.
+    When ``t.l ⊆ L`` :meth:`HistoricalTuple.restrict` returns the tuple
+    itself — this is what makes a wide (non-selective) slice stream at
+    scan speed.
     """
-    if t.lifespan.issubset(lifespan):
-        return t
     return t.restrict(lifespan)
 
 
 def when_restrict(t: HistoricalTuple, window: Lifespan) -> Optional[HistoricalTuple]:
-    """Restrict a σ-WHEN-selected tuple to its satisfying *window*."""
+    """Restrict a σ-WHEN-selected tuple to its satisfying *window*.
+
+    An empty window drops the tuple; a window equal to ``t.l`` keeps
+    it as-is (:meth:`HistoricalTuple.restrict` is the identity there).
+    """
     if window.is_empty:
         return None
-    if t.lifespan == window:
-        return t
     return t.restrict(window)
 
 

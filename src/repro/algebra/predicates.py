@@ -62,7 +62,7 @@ class Predicate:
 
         The generic implementation walks the chronons of *within*;
         :class:`AttrOp` overrides it with a segment-wise evaluation
-        that is O(#segments) instead of O(#chronons).
+        over the segments meeting *within* instead of its chronons.
         """
         return Lifespan.from_points(s for s in within if self.holds_at(t, s))
 
@@ -116,19 +116,21 @@ class AttrOp(Predicate):
 
     def satisfying_lifespan(self, t: HistoricalTuple, within: Lifespan) -> Lifespan:
         # Segment-wise: within any maximal constant run of the operand
-        # function(s), the predicate's truth value is constant.
+        # function(s), the predicate's truth value is constant. Only
+        # the segments meeting *within* are compared, so the cost is
+        # what the window touches, not the depth of the history.
         lhs_fn = t.value(self.attribute)
         if isinstance(self.rhs, AttrRef):
             return super().satisfying_lifespan(t, within)
         satisfied = []
-        for interval, value in lhs_fn.items():
+        for interval, value in lhs_fn.restrict(within).items():
             try:
                 ok = bool(self._op(value, self.rhs))
             except TypeError:
                 ok = False
             if ok:
                 satisfied.append(interval)
-        return Lifespan(*satisfied) & within
+        return Lifespan._from_sorted(satisfied)
 
     def __repr__(self) -> str:
         return f"AttrOp({self.attribute} {self.theta} {self.rhs!r})"
@@ -281,5 +283,5 @@ def _defined_lifespan(predicate: Predicate, t: HistoricalTuple,
     """The chronons of *within* where all referenced attributes exist."""
     result = within
     for a in referenced_attributes(predicate):
-        result = result & t.value(a).domain
+        result = t.value(a).restrict(result).domain
     return result

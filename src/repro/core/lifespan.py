@@ -58,6 +58,22 @@ class Lifespan:
         return ls
 
     @classmethod
+    def _from_sorted(cls, intervals: Iterable[iv.Interval]) -> "Lifespan":
+        """Wrap valid, ascending, disjoint intervals, merging adjacent ones.
+
+        For derivations whose input is already canonical up to
+        adjacency (the segments of a temporal function): one linear
+        pass, no sort and no re-validation.
+        """
+        merged: list[iv.Interval] = []
+        for interval in intervals:
+            if merged and interval[0] == merged[-1][1] + 1:
+                merged[-1] = (merged[-1][0], interval[1])
+            else:
+                merged.append(interval)
+        return cls._from_canonical(tuple(merged))
+
+    @classmethod
     def empty(cls) -> "Lifespan":
         """The empty lifespan (no chronons)."""
         return _EMPTY

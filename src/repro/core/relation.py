@@ -31,7 +31,8 @@ from repro.core.tuples import HistoricalTuple
 class HistoricalRelation:
     """An immutable historical relation: a keyed set of historical tuples."""
 
-    __slots__ = ("scheme", "enforce_key", "_tuples", "_by_key", "_hash", "_stats")
+    __slots__ = ("scheme", "enforce_key", "_tuples", "_by_key", "_hash", "_stats",
+                 "_members")
 
     def __init__(
         self,
@@ -87,6 +88,7 @@ class HistoricalRelation:
         self._by_key = by_key
         self._hash: int | None = None
         self._stats = None
+        self._members: Optional[frozenset] = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -132,7 +134,18 @@ class HistoricalRelation:
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, HistoricalTuple):
-            return item in set(self._tuples)
+            if self.is_well_keyed and item.scheme.key == self.scheme.key:
+                # One member per key, and equal tuples keyed alike have
+                # equal keys: the key map answers without hashing any
+                # member. (Equality spans union-compatible schemes, so
+                # a differently keyed probe takes the set below.)
+                try:
+                    return self._by_key.get(item.key_value()) == item
+                except TypeError:  # unhashable key value: no such member
+                    return False
+            if self._members is None:
+                self._members = frozenset(self._tuples)
+            return item in self._members
         if isinstance(item, tuple):
             return item in self._by_key
         return False

@@ -9,6 +9,16 @@ is exact for the discrete time domain (a worst case of one chronon per
 segment) while staying compact for the step-shaped histories (salaries,
 departments) that the paper's examples use.
 
+Complexity, with ``D`` segments: point lookup is O(log D);
+:meth:`TemporalFunction.restrict` to a lifespan of ``|L|`` intervals
+that meets ``k`` segments is O(|L| log D + k) — it bisects to the window,
+shares the untouched segment objects and clips only the ends, so
+restricting a long history to a narrow window costs what the window
+touches; :attr:`TemporalFunction.domain` is built on first access by
+one O(D) adjacent-merge and then cached. Only the public constructor
+sorts and validates (O(D log D)); the derivations trust the canonical
+form they start from.
+
 The function's domain is a :class:`~repro.core.lifespan.Lifespan`;
 applying the function outside it raises
 :class:`~repro.core.errors.UndefinedAtTimeError` ("undefined means that
@@ -22,6 +32,7 @@ TIME-SLICE and TIME-JOIN consume.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, Iterable, Iterator, Mapping, Tuple
 
 from repro.core import intervals as iv
@@ -31,6 +42,10 @@ from repro.core.time_domain import check_chronon
 
 Segment = Tuple[iv.Interval, Any]
 Segments = Tuple[Segment, ...]
+
+
+def _segment_end(segment: Segment) -> int:
+    return segment[0][1]
 
 
 def _coalesce(segments: Iterable[Segment]) -> Segments:
@@ -67,9 +82,7 @@ class TemporalFunction:
         27000
         """
         self._segments = _coalesce(segments)
-        self._domain = Lifespan._from_canonical(
-            iv.normalize(interval for interval, _ in self._segments)
-        )
+        self._domain: Lifespan | None = None
         self._hash: int | None = None
 
     # -- constructors ---------------------------------------------------
@@ -78,9 +91,7 @@ class TemporalFunction:
     def _from_canonical(cls, segments: Segments) -> "TemporalFunction":
         fn = cls.__new__(cls)
         fn._segments = segments
-        fn._domain = Lifespan._from_canonical(
-            iv.normalize(interval for interval, _ in segments)
-        )
+        fn._domain = None
         fn._hash = None
         return fn
 
@@ -164,6 +175,11 @@ class TemporalFunction:
     @property
     def domain(self) -> Lifespan:
         """The set of chronons at which this function is defined."""
+        if self._domain is None:
+            # The segments are canonical (sorted, disjoint, validated),
+            # so merging adjacent intervals is all normalisation needs.
+            self._domain = Lifespan._from_sorted(
+                interval for interval, _ in self._segments)
         return self._domain
 
     def __bool__(self) -> bool:
@@ -171,7 +187,7 @@ class TemporalFunction:
 
     def __len__(self) -> int:
         """Number of chronons in the domain."""
-        return len(self._domain)
+        return len(self.domain)
 
     def __call__(self, t: int) -> Any:
         """Apply the function at chronon *t* — the paper's ``t(A)(s)``.
@@ -207,7 +223,7 @@ class TemporalFunction:
 
     def defined_at(self, t: int) -> bool:
         """True if the function has a value at chronon *t*."""
-        return t in self._domain
+        return t in self.domain
 
     def items(self) -> Iterator[Tuple[iv.Interval, Any]]:
         """Iterate canonical ``((lo, hi), value)`` segments."""
@@ -252,12 +268,36 @@ class TemporalFunction:
         >>> f = TemporalFunction([((0, 9), "x")])
         >>> f.restrict(Lifespan.interval(3, 5)).segments
         (((3, 5), 'x'),)
+
+        O(|L| log D + k) for ``k`` segments meeting *lifespan*: each
+        target interval bisects to its first segment, wholly covered
+        segments are shared (not copied) and only the ends are clipped.
+        Returns ``self`` when nothing was clipped.
         """
+        segments = self._segments
+        n = len(segments)
         out: list[Segment] = []
-        target = lifespan.intervals
-        for (lo, hi), value in self._segments:
-            clipped = iv.intersection(((lo, hi),), target)
-            out.extend((piece, value) for piece in clipped)
+        clipped = False
+        i = 0
+        for t_lo, t_hi in lifespan.intervals:
+            # First segment ending at or after t_lo. The previous
+            # target's last segment may reach into this one: back up.
+            i = bisect_left(segments, t_lo, i - 1 if i else 0, key=_segment_end)
+            while i < n:
+                segment = segments[i]
+                lo, hi = segment[0]
+                if lo > t_hi:
+                    break
+                if lo >= t_lo and hi <= t_hi:
+                    out.append(segment)
+                else:
+                    out.append(((max(lo, t_lo), min(hi, t_hi)), segment[1]))
+                    clipped = True
+                i += 1
+        if not out:
+            return _EMPTY
+        if not clipped and len(out) == n:
+            return self
         return TemporalFunction._from_canonical(tuple(out))
 
     def merge(self, other: "TemporalFunction") -> "TemporalFunction":
@@ -267,20 +307,20 @@ class TemporalFunction:
         *mergable* condition 3 of Section 4.1); otherwise
         :class:`TemporalFunctionError` is raised.
         """
-        overlap = self._domain & other._domain
+        overlap = self.domain & other.domain
         if overlap and self.restrict(overlap) != other.restrict(overlap):
             raise TemporalFunctionError(
                 "functions contradict on their common domain and cannot merge"
             )
         pieces = list(self._segments)
         for (lo, hi), value in other._segments:
-            remaining = iv.difference(((lo, hi),), self._domain.intervals)
+            remaining = iv.difference(((lo, hi),), self.domain.intervals)
             pieces.extend((piece, value) for piece in remaining)
-        return TemporalFunction(_split_equal_check(pieces))
+        return TemporalFunction(pieces)
 
     def agrees_with(self, other: "TemporalFunction") -> bool:
         """True if the two functions are equal on their common domain."""
-        overlap = self._domain & other._domain
+        overlap = self.domain & other.domain
         common_self = self.restrict(overlap)
         common_other = other.restrict(overlap)
         return common_self == common_other
@@ -320,13 +360,14 @@ class TemporalFunction:
     def map(self, fn: Callable[[Any], Any]) -> "TemporalFunction":
         """Apply *fn* to every range value, keeping the domain."""
         return TemporalFunction(
-            _split_equal_check(((interval, fn(value)) for interval, value in self._segments))
+            (interval, fn(value)) for interval, value in self._segments
         )
 
     def shift(self, delta: int) -> "TemporalFunction":
         """Translate the domain by *delta* chronons (values unchanged)."""
         return TemporalFunction._from_canonical(
-            tuple(((lo + delta, hi + delta), value) for (lo, hi), value in self._segments)
+            tuple((iv.validate_interval(lo + delta, hi + delta), value)
+                  for (lo, hi), value in self._segments)
         )
 
     def changes(self) -> Iterator[Tuple[int, Any]]:
@@ -341,11 +382,6 @@ class TemporalFunction:
     def n_changes(self) -> int:
         """Number of maximal constant runs (segments)."""
         return len(self._segments)
-
-
-def _split_equal_check(pieces: Iterable[Segment]) -> list[Segment]:
-    """Pass-through helper that materialises segment pieces for __init__."""
-    return list(pieces)
 
 
 _MISSING = object()

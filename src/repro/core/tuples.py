@@ -17,6 +17,15 @@ assume them.
 :class:`HistoricalTuple` is immutable; the algebra derives new tuples
 via :meth:`restrict` (lifespan restriction, used by TIME-SLICE and
 SELECT-WHEN), :meth:`project` and :meth:`merge` (object-based set ops).
+
+*Validate at the boundary, derive inside.* The constructor checks
+everything (O(total segments)). :meth:`HistoricalTuple.restrict` on the
+tuple's own scheme does not re-run it: Section 4's closure results make
+the restriction of a valid tuple a valid tuple, so it costs
+O(attributes · (log D + k)) for ``k`` segments inside the window —
+flat in history depth ``D`` — and is the identity (returns ``self``)
+when the window covers ``t.l``. The one condition that is *not* a
+theorem, a key attribute left with no value, is still checked.
 """
 
 from __future__ import annotations
@@ -47,6 +56,14 @@ def key_from_functions(functions: Iterable[TemporalFunction]) -> tuple:
         else:
             out.append(fn)
     return tuple(out)
+
+
+def _require_key_values(scheme: RelationScheme,
+                        values: Mapping[str, TemporalFunction]) -> None:
+    """Raise unless every key attribute of *scheme* has a value."""
+    for k in scheme.key:
+        if not values[k]:
+            raise KeyConstraintError(f"key attribute {k!r} has no value")
 
 
 class HistoricalTuple:
@@ -113,9 +130,7 @@ class HistoricalTuple:
                 f"values given for attribute(s) not in scheme {scheme.name!r}: "
                 f"{sorted(unknown)}"
             )
-        for k in scheme.key:
-            if not normalized[k]:
-                raise KeyConstraintError(f"key attribute {k!r} has no value")
+        _require_key_values(scheme, normalized)
         self.scheme = scheme
         self.lifespan = lifespan
         self._values = normalized
@@ -270,14 +285,35 @@ class HistoricalTuple:
         """The tuple restricted to ``t.l ∩ lifespan`` — ``t'|_L``.
 
         Returns None when the restricted lifespan is empty (the tuple
-        vanishes from the result, as in static TIME-SLICE).
+        vanishes from the result, as in static TIME-SLICE), and the
+        tuple itself when ``t.l ⊆ lifespan`` on its own scheme.
+
+        On the tuple's own scheme the result is *derived*, not
+        re-validated: every restricted function is a sub-function of a
+        checked one, so the vls, domain-membership and CD conditions
+        hold by closure. Re-homing onto another *scheme* validates in
+        full, because that scheme's ``ALS``/``DOM`` were never checked
+        against this tuple.
         """
         new_ls = self.lifespan & lifespan
         if new_ls.is_empty:
             return None
-        target = scheme or self.scheme
+        own_scheme = scheme is None or scheme is self.scheme
+        if own_scheme and new_ls == self.lifespan:
+            return self
         values = {a: fn.restrict(new_ls) for a, fn in self._values.items()}
-        return HistoricalTuple(target, new_ls, values)
+        if not own_scheme:
+            return HistoricalTuple(scheme, new_ls, values)
+        # Not a closure theorem: a sparse (representation-level) key
+        # may have no value left inside the window.
+        _require_key_values(self.scheme, values)
+        t = HistoricalTuple.__new__(HistoricalTuple)
+        t.scheme = self.scheme
+        t.lifespan = new_ls
+        t._values = values
+        t._hash = None
+        t._key = None
+        return t
 
     def project(self, attributes: Iterable[AttributeLike],
                 scheme: Optional[RelationScheme] = None) -> "HistoricalTuple":

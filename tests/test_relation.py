@@ -74,6 +74,39 @@ class TestProtocol:
         r = HistoricalRelation(scheme, [make(scheme, "a", 0, 5)])
         assert "a" not in r
 
+    def test_contains_compares_content_not_just_key(self, scheme):
+        r = HistoricalRelation(scheme, [make(scheme, "a", 0, 5)])
+        assert make(scheme, "a", 0, 5) in r          # equal, distinct object
+        assert make(scheme, "a", 0, 6) not in r      # same key, other history
+        assert make(scheme, "b", 0, 5) not in r
+        # Tuple equality spans union-compatible schemes, however keyed.
+        rekeyed = RelationScheme("R2", {"K": d.cd(d.STRING), "V": d.cd(d.INTEGER)},
+                                 key=["K", "V"])
+        wide = RelationScheme("R", {"K": d.cd(d.STRING), "V": d.cd(d.INTEGER)},
+                              key=["K"])
+        member = make(wide, "a", 0, 5)
+        assert make(rekeyed, "a", 0, 5) in HistoricalRelation(wide, [member])
+
+    @pytest.mark.parametrize("well_keyed", [True, False])
+    def test_membership_probes_hash_each_member_at_most_once(
+            self, scheme, well_keyed, monkeypatch):
+        members = [make(scheme, f"k{i}", 0, 5) for i in range(1000)]
+        if not well_keyed:  # Figure 11: two tuples for one object
+            members.append(make(scheme, "k0", 10, 15))
+        r = HistoricalRelation(scheme, members, enforce_key=well_keyed)
+        assert r.is_well_keyed is well_keyed
+        hashed: dict[int, int] = {}
+        original = HistoricalTuple.__hash__
+
+        def counting(self):
+            hashed[id(self)] = hashed.get(id(self), 0) + 1
+            return original(self)
+
+        monkeypatch.setattr(HistoricalTuple, "__hash__", counting)
+        probes = [make(scheme, f"k{i}", 0, 5 + i % 2) for i in range(1000)]
+        assert sum(p in r for p in probes) == 500
+        assert max(hashed.get(id(m), 0) for m in members) <= 1
+
     def test_set_equality_ignores_order(self, scheme):
         t1, t2 = make(scheme, "a", 0, 5), make(scheme, "b", 2, 9)
         assert HistoricalRelation(scheme, [t1, t2]) == HistoricalRelation(scheme, [t2, t1])
