@@ -139,7 +139,7 @@ def distribute_timeslice_over_setops(expr: Expr) -> Optional[Expr]:
     restricts both operands identically, equal tuples stay equal and
     unequal tuples may become equal — so for ∩ and − we do *not*
     distribute (the rewrite could change results) and only ∪ is
-    rewritten. The bench suite quantifies the win.
+    rewritten.
     """
     if isinstance(expr, TimeSlice) and isinstance(expr.child, Union_):
         inner = expr.child

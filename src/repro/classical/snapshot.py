@@ -13,9 +13,8 @@ This module makes the consistent-extension claim executable:
 * :func:`collapse` projects an HRDM relation at a single chronon back
   to a classical relation;
 * the round-trip laws (``collapse(lift(r)) == r``; historical operators
-  commute with ``collapse`` at ``{now}``) are verified by the
-  consistent-extension test-suite and measured by
-  ``bench_consistent_extension``.
+  commute with ``collapse`` at ``{now}``) are verified by
+  ``tests/test_consistent_extension.py``.
 """
 
 from __future__ import annotations

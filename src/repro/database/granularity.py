@@ -28,8 +28,9 @@ lifespans each design maintains, and :func:`representable` /
 :func:`representation_error` quantify how faithfully each coarser
 design can express a fully heterogeneous instance (coarser designs must
 over-approximate: every object appears alive whenever its container
-is). The ``bench_granularity`` benchmark sweeps instance sizes to
-regenerate the paper's qualitative claims as measured curves.
+is). ``tests/test_granularity.py`` pins the paper's qualitative
+claims: overhead ordered by level and growing with the instance only
+from the tuple level down, error monotone in coarseness.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ Planning proceeds in four phases:
    chains sitting on base-relation scans into
    :class:`~repro.planner.plan.FusedScan` leaves, so the pipelined
    executor applies them per tuple *during* the scan — with selective
-   decode on stored relations (skip with ``Planner(fuse=False)``).
+   decode on stored relations. Fusion always runs; chains it cannot
+   absorb (over joins, key lookups, ``Custom`` predicates) stay as
+   streaming Filter / Slice / Project nodes.
 4. **Estimate** — :func:`repro.planner.cost.annotate` stamps row and
    cost estimates on every node, for EXPLAIN and for tests.
 
@@ -72,15 +74,9 @@ class Planner:
     """Plans algebra expressions against a catalog of base relations."""
 
     def __init__(self, rules: Tuple[Rule, ...] = DEFAULT_RULES,
-                 normalize: bool = True, fuse: bool = True):
+                 normalize: bool = True):
         self.rules = rules
         self.normalize = normalize
-        #: Run the physical fusion pass (:func:`fuse_plan`) — collapse
-        #: Filter / Slice / Project chains into the scan leaf so the
-        #: executor applies them per tuple during the scan. ``False``
-        #: keeps the one-node-per-operator plans (for comparison
-        #: benches and debugging).
-        self.fuse = fuse
 
     # -- entry point -----------------------------------------------------
 
@@ -116,9 +112,7 @@ class Planner:
     def _finish(self, logical: E.Expr, normalized: E.Expr, env: Env,
                 when: bool, started: float) -> P.Plan:
         stats_env, key_env = self._collect_stats(normalized, env)
-        root = self._translate(normalized, env, stats_env)
-        if self.fuse:
-            root = fuse_plan(root)
+        root = fuse_plan(self._translate(normalized, env, stats_env))
         if when:
             root = P.WhenOp(root)
         cost.annotate(root, stats_env, key_env)
@@ -353,6 +347,6 @@ def _key_equality(predicate: Predicate, source) -> Optional[Tuple[object, ...]]:
 
 
 def plan(expr: E.Expr, env: Env, when: bool = False, *,
-         normalize: bool = True, fuse: bool = True) -> P.Plan:
+         normalize: bool = True) -> P.Plan:
     """Plan *expr* with a default :class:`Planner` (convenience)."""
-    return Planner(normalize=normalize, fuse=fuse).plan(expr, env, when=when)
+    return Planner(normalize=normalize).plan(expr, env, when=when)

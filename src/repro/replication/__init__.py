@@ -70,8 +70,9 @@ Run a replica from the command line::
     python -m repro.replication PATH --primary HOST:PORT [--port P]
 
 ``docs/replication.md`` walks through topology, bootstrap, lag
-semantics, and the read-your-writes token; ``benchmarks/bench_server.py``
-measures the moved read ceiling (the ``replicated_read`` section).
+semantics, and the read-your-writes token; the ``replicated_mixed``
+workload of the layer account (``python3 -m benchmarks.account``)
+measures reads and commits through a primary plus one live replica.
 """
 
 from __future__ import annotations

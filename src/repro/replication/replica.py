@@ -216,8 +216,8 @@ class ReplicaServer(DatabaseServer):
         The replica starts accepting writes (and subscriptions) at its
         last **applied** position: commits the old primary acknowledged
         but never shipped are not on this timeline — that is the
-        asynchronous-replication loss window, measured by
-        ``benchmarks/bench_failover.py``. Raises
+        asynchronous-replication loss window (``tests/test_replication.py``
+        ``TestCrashPaths`` kills a primary inside it). Raises
         :class:`~repro.core.errors.PromotionError` if already promoted
         or the local database cannot take writes.
         """

@@ -19,8 +19,9 @@ The concurrency story is the database's own
   session rolls back cleanly (``Client.run_transaction`` retries);
 * the **write-ahead-log append is the sole serialization point**;
   under ``sync="batch"`` it absorbs the concurrent commit stream into
-  one fsync per batch window (group commit), which is what makes the
-  write-heavy service workload scale (``benchmarks/bench_server.py``).
+  one fsync per batch window (group commit; last measured at
+  2.0–2.15× the commit throughput of ``"always"`` — see the history
+  table in ``docs/performance.md``).
 
 Connection sessions are stateful: ``BEGIN`` opens a buffered
 transaction whose ``EXECUTE`` frames accumulate server-side until

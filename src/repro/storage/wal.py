@@ -68,9 +68,9 @@ and :meth:`reset` serialize on an internal mutex, so concurrent
 committers (one per server connection, see :mod:`repro.server`)
 interleave whole frames, never bytes — and under ``"batch"`` their
 commits are absorbed into one fsync per *batch_size* window, which is
-where group commit earns its throughput under concurrent load
-(``benchmarks/bench_wal.py`` and ``benchmarks/bench_server.py``
-measure the spread).
+where group commit earns its throughput under concurrent load (the
+layer account reports ``storage.wal_fsync_us`` and
+``storage.fsyncs_per_commit``; see ``docs/performance.md``).
 
 Committers that must not hold a lock across the disk wait split the
 append in two: ``append(ops, defer_sync=True)`` writes and flushes the

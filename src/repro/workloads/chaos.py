@@ -11,7 +11,7 @@ that scenario a first-class, oracle-checked harness run:
   and the op-count at which the primary is killed;
 * :func:`fail_over` is the fenced failover choreography itself —
   fence, catch up, stop, promote — shared by the harness's ``cluster``
-  engine, the chaos tests, and ``benchmarks/bench_failover.py``;
+  engine and the chaos tests (``tests/test_chaos.py``);
 * the plan's :attr:`~ChaosPlan.timeline` and the schedule's fault
   trace record exactly what happened, so a run found by one seed can
   be replayed (:meth:`repro.faults.FaultSchedule.from_trace`) forever.
@@ -26,9 +26,9 @@ is therefore shipped), and only then is the primary stopped and the
 replica promoted. That ordering is what makes the run *checkable*: the
 snapshot-isolation oracle demands that every acknowledged write be
 visible on the surviving timeline, which an unfenced ``kill -9`` of an
-asynchronous primary cannot promise (its loss window is measured, not
-verified — see ``benchmarks/bench_failover.py`` and the crash-promote
-tests in ``tests/test_replication.py``).
+asynchronous primary cannot promise (its loss window can be exercised,
+not verified — see the crash-promote tests in
+``tests/test_replication.py``).
 """
 
 from __future__ import annotations

@@ -103,6 +103,35 @@ def emp(emp_scheme) -> HistoricalRelation:
 
 
 @pytest.fixture
+def figure10_cube() -> HistoricalRelation:
+    """Figure 10's three dimensions as a dense 24 tuples × 7 attributes ×
+    100 chronons cube: ``K`` plus ``A0..A5``, where ``Ai`` of tuple *k* is
+    *k* on [0, 49] and *k + i* on [50, 99] (so ``A0`` is always *k*)."""
+    attrs = {"K": domains.cd(domains.STRING)}
+    attrs.update({f"A{i}": domains.td(domains.INTEGER) for i in range(6)})
+    scheme = RelationScheme("CUBE", attrs, key=["K"])
+    rows = []
+    for k in range(24):
+        values = {"K": f"k{k:02d}"}
+        values.update({f"A{i}": TemporalFunction.step({0: k, 50: k + i}, end=99)
+                       for i in range(6)})
+        rows.append((Lifespan.interval(0, 99), values))
+    return HistoricalRelation.from_rows(scheme, rows)
+
+
+@pytest.fixture
+def personnel_halves():
+    """A 40-employee history and its two halves, split at month 60 (the
+    Figure 11 situation at workload size)."""
+    from repro.algebra.timeslice import timeslice
+    from repro.workloads import PersonnelConfig, generate_personnel
+
+    emp = generate_personnel(PersonnelConfig(n_employees=40, seed=31))
+    return (emp, timeslice(emp, Lifespan.interval(0, 59)),
+            timeslice(emp, Lifespan.interval(60, 120)))
+
+
+@pytest.fixture
 def dept_scheme() -> RelationScheme:
     """MANAGES(MGR*, DEPT) — joins with EMP on DEPT."""
     return RelationScheme(

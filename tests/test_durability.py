@@ -372,6 +372,21 @@ class TestOpenCloseLifecycle:
         assert _catalog_state(again) == state
         again.close()
 
+    @pytest.mark.parametrize("sync", ["always", "batch", "never"])
+    def test_every_sync_policy_reopens_to_the_committed_state(self, tmp_path,
+                                                              sync):
+        """A sync policy trades fsyncs for throughput, never contents: the
+        scripted history (every WAL op type) reopens intact under each."""
+        path = str(tmp_path / "db")
+        db = HistoricalDatabase("x", path=path, sync=sync)
+        for _ in _scripted_history(db):
+            pass
+        state = _catalog_state(db)
+        db.close()
+        again = HistoricalDatabase(path=path)
+        assert _catalog_state(again) == state
+        again.close()
+
 
 class TestRecoveredSemantics:
     """A recovered database is a full citizen, not a read-only husk."""

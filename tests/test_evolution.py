@@ -143,6 +143,17 @@ class TestDatabaseEvolution:
         assert db.scheme("STOCK").als("VOLUME") == Lifespan((0, 99), (180, 250))
         assert attribute_history(db.scheme("STOCK"), "VOLUME").n_intervals == 2
 
+    def test_history_recorded_before_the_drop_survives_the_readd(self, db):
+        """Figure 6: VOLUME recorded on [0, 99] stays queryable after the
+        drop at 100 and the re-add at 180; the gap records nothing."""
+        evolve(db, "STOCK", add={"VOLUME": (d.td(d.INTEGER), 0, 250)})
+        db.update("STOCK", ("X",), at=10, changes={"VOLUME": 500})
+        evolve(db, "STOCK", drop_at={"VOLUME": 100})
+        evolve(db, "STOCK", readd={"VOLUME": (180, 250)})
+        t = db["STOCK"].get("X")
+        assert t.at("VOLUME", 50) == 500
+        assert t.value("VOLUME").domain == Lifespan.interval(10, 99)
+
     def test_new_attribute_starts_empty(self, db):
         evolve(db, "STOCK", add={"VOLUME": (d.td(d.INTEGER), 0, 250)})
         t = db["STOCK"].get("X")

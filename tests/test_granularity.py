@@ -53,9 +53,10 @@ class TestOverheadAccounting:
         # Relation-level cost does not grow with the instance...
         assert (lifespan_overhead(small, GranularityLevel.RELATION)
                 == lifespan_overhead(large, GranularityLevel.RELATION))
-        # ...tuple-level cost does.
-        assert (lifespan_overhead(large, GranularityLevel.TUPLE)
-                == 100 * lifespan_overhead(small, GranularityLevel.TUPLE))
+        # ...tuple- and value-level cost grow linearly with it.
+        for level in (GranularityLevel.TUPLE, GranularityLevel.VALUE):
+            assert (lifespan_overhead(large, level)
+                    == 100 * lifespan_overhead(small, level))
 
 
 @pytest.fixture

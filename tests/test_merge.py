@@ -116,6 +116,17 @@ class TestFigure11:
         assert len(u.tuples_with_key("solo1")) == 1
         assert len(u.tuples_with_key("solo2")) == 1
 
+    def test_personnel_halves_merge_back_to_one_tuple_per_object(
+            self, personnel_halves):
+        """Figure 11 at workload size: ∪ₒ of the two halves of a history
+        is one tuple per key carrying the unsplit lifespan."""
+        emp, first, second = personnel_halves
+        merged = m.union_merge(first, second)
+        keys = {t.key_value() for t in first} | {t.key_value() for t in second}
+        assert len(merged) == len(keys) < len(setops.union(first, second))
+        for t in merged:
+            assert t.lifespan == emp.get(*t.key_value()).lifespan
+
     def test_intersection_merge(self, scheme):
         r1 = HistoricalRelation(scheme, [make(scheme, "x", [(0, 6)], [((0, 6), 1)])])
         r2 = HistoricalRelation(scheme, [make(scheme, "x", [(4, 9)], [((4, 9), 1)])])

@@ -189,6 +189,18 @@ def test_when_plans_return_lifespans(r, w, p):
 # ---------------------------------------------------------------------------
 
 
+def _unfused_plan(expr, env):
+    """The planner's physical tree for *expr* before the fusion pass:
+    one Filter / Slice / Project node per logical operator."""
+    from repro.algebra.rewriter import rewrite
+    from repro.planner.plan import Plan
+
+    planner = Planner()
+    normalized = rewrite(expr, planner.rules)
+    stats_env, _ = planner._collect_stats(normalized, env)
+    return Plan(planner._translate(normalized, env, stats_env), expr, normalized)
+
+
 @settings(deadline=None, max_examples=50)
 @given(expressions(), small_relations(), small_relations())
 def test_fused_equals_unfused_equals_naive_stored(expr, a, b):
@@ -197,8 +209,8 @@ def test_fused_equals_unfused_equals_naive_stored(expr, a, b):
     mem_env = {"A": a, "B": b}
     stored_env = {"A": _stored(a), "B": _stored(b)}
     expected = expr.evaluate(mem_env)
-    assert plan_fn(expr, stored_env, fuse=True).execute(stored_env) == expected
-    assert plan_fn(expr, stored_env, fuse=False).execute(stored_env) == expected
+    assert plan_fn(expr, stored_env).execute(stored_env) == expected
+    assert _unfused_plan(expr, stored_env).execute(stored_env) == expected
 
 
 @settings(deadline=None, max_examples=30)
@@ -245,15 +257,6 @@ class TestFusion:
         chosen = plan_fn(E.SelectIf(E.Rel("EMP"), AttrOp("NAME", "=", name)),
                          {"EMP": emp})
         assert any(isinstance(n, KeyLookup) for n in chosen.root.walk())
-        assert not any(isinstance(n, FusedScan) for n in chosen.root.walk())
-
-    def test_fuse_false_keeps_operator_nodes(self, stored_emp):
-        from repro.planner import Slice
-
-        env = {"EMP": stored_emp}
-        tree = E.TimeSlice(E.Rel("EMP"), Lifespan.interval(10, 12))
-        chosen = plan_fn(tree, env, fuse=False)
-        assert isinstance(chosen.root, Slice)
         assert not any(isinstance(n, FusedScan) for n in chosen.root.walk())
 
     def test_fused_scan_renders_in_explain(self, stored_emp):

@@ -12,6 +12,13 @@ class TestProject:
         r = project(emp, ["NAME", "SALARY"])
         assert r.scheme.attributes == ("NAME", "SALARY")
 
+    def test_figure10_reduces_only_the_attribute_dimension(self,
+                                                            figure10_cube):
+        """Figure 10: PROJECT cuts attributes, never tuples or chronons."""
+        r = project(figure10_cube, ["K", "A0", "A1"])
+        assert (len(r), len(r.scheme.attributes), len(r.lifespan())) == (
+            24, 3, 100)
+
     def test_lifespans_unchanged(self, emp):
         r = project(emp, ["NAME", "DEPT"])
         for t in r:

@@ -55,6 +55,12 @@ class TestSelectIf:
         r = select_if(emp, AttrOp("SALARY", ">", 0))
         assert r.scheme == emp.scheme
 
+    def test_figure10_reduces_only_the_value_dimension(self, figure10_cube):
+        """Figure 10: SELECT cuts tuples, never attributes or chronons."""
+        r = select_if(figure10_cube, AttrOp("A0", "<", 12))
+        assert (len(r), len(r.scheme.attributes), len(r.lifespan())) == (
+            12, 7, 100)
+
 
 class TestSelectWhen:
     def test_restricts_lifespan(self, emp):

@@ -13,7 +13,7 @@ import pytest
 from repro.algebra import expr as E
 from repro.algebra.predicates import AttrOp, Or
 from repro.core.relation import HistoricalRelation
-from repro.planner import FusedScan, Planner
+from repro.planner import FullScan, FusedScan, Planner
 from repro.storage.engine import (
     StoredRelation,
     TupleView,
@@ -127,9 +127,10 @@ class TestDecodedTupleCache:
     def test_back_to_back_planned_queries_hit_the_cache(self, stored, emp):
         """The satellite regression: FullScan over an unchanged stored
         relation must serve the second query from the cache."""
-        planner = Planner(fuse=False)  # plain FullScan → scan()
+        planner = Planner()
         env = {"EMP": stored}
-        tree = E.SelectIf(E.Rel("EMP"), AttrOp("SALARY", ">=", 0))
+        tree = E.Rel("EMP")  # nothing to fuse: a plain FullScan → scan()
+        assert isinstance(planner.plan(tree, env).root, FullScan)
         planner.plan(tree, env).execute(env)
         decodes_after_first = stored.decode_count
         assert decodes_after_first == len(emp)
@@ -197,6 +198,7 @@ class TestFusedSelectiveDecode:
         high = max(max(t.value("SALARY").image()) for t in emp)
         tree = E.SelectIf(E.Rel("EMP"), AttrOp("SALARY", ">=", high))
         chosen = Planner().plan(tree, env)
+        assert isinstance(chosen.root, FusedScan)
         result = chosen.execute(env)
         assert result == tree.evaluate({"EMP": emp})
         survivors = len(result)

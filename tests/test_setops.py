@@ -40,6 +40,15 @@ class TestUnion:
         u = setops.union(r1, r2)
         assert len(u) == 2 and not u.is_well_keyed
 
+    def test_personnel_halves_keep_every_tuple(self, personnel_halves):
+        """Figure 11 at workload size: no tuple of one half equals a tuple
+        of the other, so |r ∪ s| = |r| + |s| — a straddling object
+        comes back twice."""
+        _, first, second = personnel_halves
+        u = setops.union(first, second)
+        assert len(u) == len(first) + len(second)
+        assert not u.is_well_keyed
+
     def test_result_lifespans_are_union(self, scheme_a, scheme_b):
         r1 = rel(scheme_a, (Lifespan.interval(0, 5), {"K": "x", "V": 1}))
         r2 = rel(scheme_b, (Lifespan.interval(10, 15), {"K": "y", "V": 2}))

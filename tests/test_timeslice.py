@@ -51,6 +51,12 @@ class TestStaticTimeslice:
     def test_identity_window(self, emp):
         assert timeslice(emp, emp.lifespan()) == emp
 
+    def test_figure10_reduces_only_the_time_dimension(self, figure10_cube):
+        """Figure 10: TIME-SLICE cuts chronons, never tuples or attributes."""
+        r = timeslice(figure10_cube, Lifespan.interval(0, 49))
+        assert (len(r), len(r.scheme.attributes), len(r.lifespan())) == (
+            24, 7, 50)
+
 
 class TestWhen:
     def test_when_is_relation_lifespan(self, emp):

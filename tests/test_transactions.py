@@ -83,6 +83,26 @@ class TestCommit:
             txn.update("EMP", ("Ada",), at=50, changes={"SALARY": 60})
         assert db["EMP"].get("Ada").at("SALARY", 60) == 60
 
+    @pytest.mark.parametrize("storage", ["memory", "disk"])
+    def test_batched_load_equals_per_call_load(self, scheme, storage):
+        """A bulk load through one transaction (one constraint sweep)
+        commits exactly what the same inserts auto-committed one by one
+        (one sweep each) do."""
+        rows = [(Lifespan.interval(i, i + 20), {"NAME": f"E{i:02d}",
+                                                 "SALARY": 100 * i})
+                for i in range(25)]
+        per_call, batched = (HistoricalDatabase(name) for name in "pb")
+        for database in (per_call, batched):
+            database.create_relation(scheme, storage=storage)
+            database.add_constraint(NonDecreasing("EMP", "SALARY"))
+        for lifespan, values in rows:
+            per_call.insert("EMP", lifespan, values)
+        with batched.transaction() as txn:
+            for lifespan, values in rows:
+                txn.insert("EMP", lifespan, values)
+        assert len(batched["EMP"]) == len(rows)
+        assert set(batched["EMP"]) == set(per_call["EMP"])
+
 
 class TestRollback:
     def test_exception_rolls_back(self, db):

@@ -79,9 +79,18 @@ class TestTimestampedRelation:
 
 class TestConversion:
     def test_version_inflation(self, emp):
-        """The baseline stores one row per simultaneous-constancy period."""
+        """The introduction's argument: one row per simultaneous-constancy
+        period stores more records and more value atoms than one tuple
+        of per-attribute functions per object, and one attribute's
+        history comes back with at least as many rows."""
         ts = from_historical(emp)
         assert len(ts) > len(emp)
+        hrdm_atoms = sum(t.value(a).n_changes()
+                         for t in emp for a in emp.scheme.attributes)
+        assert sum(len(v.values) for v in ts) > hrdm_atoms
+        for t in emp:
+            assert (len(ts.value_history(t.key_value(), "SALARY"))
+                    >= t.value("SALARY").n_changes())
 
     def test_version_count_formula(self):
         """Versions = distinct change boundaries across all attributes."""

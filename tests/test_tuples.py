@@ -130,6 +130,29 @@ class TestVls:
         with pytest.raises(UndefinedAtTimeError):
             john.at("DEPT", 51)
 
+    @pytest.mark.parametrize("spans", [[(0, 50)], [(10, 90)],
+                                       [(0, 25), (70, 100)]])
+    def test_figure8_matrix(self, spans):
+        """Figures 7–8: tuples heterogeneous in time under attributes with
+        their own (one gapped) lifespans — every (tuple, attribute) cell
+        is defined exactly on ``vls = t.l ∩ ALS``."""
+        scheme = RelationScheme(
+            "R", {"K": d.cd(d.STRING), **{a: d.td(d.INTEGER)
+                                          for a in ("A1", "A2", "A3")}},
+            key=["K"],
+            lifespans={"K": Lifespan.interval(0, 100),
+                       "A1": Lifespan.interval(0, 100),
+                       "A2": Lifespan.interval(20, 80),
+                       "A3": Lifespan((0, 30), (60, 100))},
+        )
+        ls = Lifespan(*spans)
+        values = {a: TemporalFunction.constant(1, ls & scheme.als(a))
+                  for a in ("A1", "A2", "A3") if ls & scheme.als(a)}
+        t = HistoricalTuple.build(scheme, ls, {"K": "t", **values})
+        for a in ("A1", "A2", "A3"):
+            assert t.vls(a) == ls & scheme.als(a)
+            assert t.value(a).domain == t.vls(a)
+
     def test_is_total(self, john, scheme):
         assert john.is_total()
         partial = HistoricalTuple.build(scheme, Lifespan.interval(0, 9),
