@@ -11,11 +11,12 @@ from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional,
 
 from repro.client.results import RemoteResult
 from repro.client.session import (Address, _CatalogView, Client,
-                                  RemotePrepared, RemoteTransaction)
+                                  RemoteTransaction)
 from repro.core.domains import ValueDomain
 from repro.core.errors import (ConnectionLostError, FencedError, HRDMError,
                                PromotionError, ReplicaLagError)
 from repro.core.relation import HistoricalRelation
+from repro.database.prepared import StatementHandle
 from repro.server import protocol
 
 __all__ = ["RoutedClient", "RoutedPrepared", "elect_leader"]
@@ -342,45 +343,19 @@ class RoutedClient(_CatalogView):
                 f"{len(self._replicas)} replicas, {state})")
 
 
-class RoutedPrepared:
-    """A prepared statement that routes like :meth:`RoutedClient.query`.
-
-    The statement is prepared lazily on each server it actually runs
-    on (ids are per-connection), cached per target, and re-prepared
-    after reconnects by the underlying :class:`RemotePrepared`.
-    """
+class RoutedPrepared(StatementHandle):
+    """A handle on one statement's text for a :class:`RoutedClient`:
+    each run is :meth:`RoutedClient.query` on it, so it routes (and
+    falls back to the primary) exactly like an unprepared read."""
 
     def __init__(self, routed: RoutedClient, source: str):
-        self._routed = routed
-        self.source = source
-        self._primary = routed.primary.prepare(source)
-        #: The ``:name`` parameters the statement expects.
-        self.param_names = self._primary.param_names
-        self._per_target: dict[Tuple[str, int],
-                               Tuple[Client, RemotePrepared]] = {}
+        super().__init__(routed, source,
+                         routed.primary.prepare(source).param_names)
 
     def query(self, params: Optional[Mapping[str, Any]] = None
               ) -> RemoteResult:
         """Bind and run on the next live replica, else the primary."""
-        routed = self._routed
-        token = routed.primary.last_commit_lsn
-        for client in routed._read_targets():
-            try:
-                cached = self._per_target.get(client._address)
-                if cached is None or cached[0] is not client:
-                    prepared = client.prepare(self.source)
-                    self._per_target[client._address] = (client, prepared)
-                else:
-                    prepared = cached[1]
-                return prepared.query(params, wait_lsn=token,
-                                      wait_timeout=routed.replica_wait)
-            except (ReplicaLagError, ConnectionLostError):
-                continue
-        return self._primary.query(params)
-
-    def __repr__(self) -> str:
-        names = ", ".join(f":{n}" for n in self.param_names) or "no parameters"
-        return f"RoutedPrepared({self.source!r}, {names})"
+        return self._session.query(self.source, params)
 
 
 def _routed_stub(op: protocol.MutationOp):

@@ -22,6 +22,7 @@ from repro.core.errors import (ConflictError, ConnectionLostError, HRDMError,
                                StorageError, TransactionError)
 from repro.core.relation import HistoricalRelation
 from repro.core.tuples import HistoricalTuple
+from repro.database.prepared import StatementHandle
 from repro.server import protocol
 from repro.storage import pager as pager_mod
 
@@ -78,9 +79,9 @@ class Client(_CatalogView):
         self._closed = False
         self._txn_active = False
         #: Bumped on every connection loss. Session state living on the
-        #: server's side of the socket (prepared statements, an open
-        #: transaction) dies with the connection; objects holding onto
-        #: it compare their birth epoch against this to notice.
+        #: server's side of the socket (an open transaction) dies with
+        #: the connection; objects holding onto it compare their birth
+        #: epoch against this to notice.
         self._epoch = 0
         #: The LSN of this session's last acknowledged write — the
         #: read-your-writes token a routed read hands to a replica.
@@ -249,10 +250,10 @@ class Client(_CatalogView):
         return self._decode_result(self.request(payload))
 
     def prepare(self, source: str) -> "RemotePrepared":
-        """Parse *source* once server-side, for repeated runs."""
+        """Validate *source* server-side and hand back a handle on its
+        text, for repeated runs (see :class:`RemotePrepared`)."""
         response = self.request({"op": "prepare", "q": source})
-        return RemotePrepared(self, response["id"], source,
-                              tuple(response["params"]))
+        return RemotePrepared(self, source, response["params"])
 
     def status(self) -> dict:
         """The server's STATUS frame: role, database, current
@@ -408,53 +409,20 @@ class Client(_CatalogView):
         return f"Client({self.name!r} at {host}:{port}, {state})"
 
 
-class RemotePrepared:
-    """A statement parsed (and plan-cached) server-side.
+class RemotePrepared(StatementHandle):
+    """A handle on one statement's text for a :class:`Client`.
 
-    Survives reconnects: the server-side statement dies with its
-    connection, so a run that finds the client's epoch has moved
-    re-sends PREPARE transparently before executing.
+    Nothing lives server-side: each run is a plain QUERY frame, which
+    the server plans through its text-keyed plan cache — so the handle
+    survives reconnects and server restarts with no re-PREPARE.
     """
-
-    def __init__(self, client: Client, statement_id: int, source: str,
-                 param_names: Tuple[str, ...]):
-        self._client = client
-        self._id = statement_id
-        self._epoch = client._epoch
-        self.source = source
-        #: The ``:name`` parameters the statement expects.
-        self.param_names = param_names
 
     def query(self, params: Optional[Mapping[str, Any]] = None, *,
               wait_lsn: Optional[int] = None,
               wait_timeout: Optional[float] = None) -> RemoteResult:
         """Bind and run the prepared statement; typed result."""
-        for attempt in (0, 1):
-            if self._epoch != self._client._epoch:
-                self._reprepare()
-            payload: dict[str, Any] = {"op": "query", "prepared": self._id}
-            if params:
-                payload["params"] = dict(params)
-            Client._with_wait(payload, wait_lsn, wait_timeout)
-            try:
-                return self._client._decode_result(
-                    self._client.request(payload))
-            except protocol.ProtocolError:
-                # The request was transparently retried over a fresh
-                # connection, where this statement id no longer exists.
-                if attempt == 0 and self._epoch != self._client._epoch:
-                    continue
-                raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _reprepare(self) -> None:
-        response = self._client.request({"op": "prepare", "q": self.source})
-        self._id = response["id"]
-        self._epoch = self._client._epoch
-
-    def __repr__(self) -> str:
-        names = ", ".join(f":{n}" for n in self.param_names) or "no parameters"
-        return f"RemotePrepared({self.source!r}, {names})"
+        return self._session.query(self.source, params, wait_lsn=wait_lsn,
+                                   wait_timeout=wait_timeout)
 
 
 class RemoteTransaction:

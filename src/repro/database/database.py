@@ -29,8 +29,9 @@ mutable top-level object tying together:
   (:mod:`repro.database.evolution`);
 * HRQL querying through the cost-based planner — :meth:`query` returns
   a typed :class:`~repro.database.result.QueryResult`, ``:name``
-  parameters bind at plan time, and :meth:`prepare` caches the parsed
-  statement for cheap re-planning;
+  parameters bind at plan time, every statement's plan is cached by
+  its text and binding, and :meth:`prepare` hands out a handle on one
+  statement's text;
 * durability (``path=...``) — the catalog lives in a directory, every
   commit appends a checksummed write-ahead-log record
   (:mod:`repro.database.durability`), :meth:`checkpoint` writes a
@@ -63,13 +64,10 @@ from repro.database import durability, mutations
 from repro.database.backends import BACKENDS, DiskBackend, MemoryBackend
 from repro.database.concurrency import ConcurrencyManager, WriteSet
 from repro.database.durability import DurabilityManager
-from repro.database.prepared import PreparedQuery
+from repro.database.prepared import PreparedQuery, StatementCache, answer
 from repro.database.result import QueryResult
 from repro.database.session import Transaction
-from repro.planner.explain import PlanExplanation, explain as explain_plan
-from repro.planner.planner import Planner
-from repro.query.compiler import ExplainQuery, WhenQuery, compile_query
-from repro.query.parser import parse as parse_hrql
+from repro.planner.explain import PlanExplanation, explain_plan
 
 #: A catalog entry's storage backend.
 Backend = Union[MemoryBackend, DiskBackend]
@@ -144,9 +142,9 @@ class HistoricalDatabase:
         self.time_domain = time_domain or TimeDomain(T_MIN, T_MAX)
         self._backends: Dict[str, Backend] = {}
         self._constraints: list = []
-        #: Bumped on every successful catalog change; prepared queries
-        #: key their plan caches on it.
-        self._version = 0
+        #: Every HRQL statement's plan, keyed by its text and binding
+        #: (see :mod:`repro.database.prepared`).
+        self._statements = StatementCache()
         #: MVCC machinery (see :mod:`repro.database.concurrency`).
         #: Queries read the last published environment; transactional
         #: sessions snapshot at begin and validate at commit; the
@@ -537,16 +535,6 @@ class HistoricalDatabase:
         except KeyError:
             raise RelationError(f"no relation named {name!r}") from None
 
-    def _committed(self, write_set: WriteSet) -> None:
-        """Acknowledge a successful commit: bump the catalog version
-        (prepared-statement plan caches key on it) and publish the new
-        read environment for concurrent snapshot readers. *write_set*
-        names what changed — publication replaces only those relations,
-        and the write-set is retained so later optimistic commits can
-        validate against it."""
-        self._version += 1
-        self._concurrency.committed(self._backends, write_set)
-
     def _commit(self, write_set: WriteSet, steps: list,
                 snapshot_id: Optional[int] = None,
                 txn_id: Optional[str] = None) -> None:
@@ -593,7 +581,7 @@ class HistoricalDatabase:
                 if txn_id is None:
                     if ops:
                         lsn = manager.log_commit(ops)
-                    self._committed(write_set)
+                    self._concurrency.committed(self._backends, write_set)
                 else:
                     while undos:
                         undos.pop()()
@@ -655,8 +643,9 @@ class HistoricalDatabase:
         for step in steps:
             durability.run_step(self, step)
             names.append(step[1])
-        self._committed(_relation_write_set(*names)
-                        if write_set is None else write_set)
+        self._concurrency.committed(
+            self._backends,
+            _relation_write_set(*names) if write_set is None else write_set)
 
     def _env(self) -> dict[str, Any]:
         """The planner / executor environment: name → tuple source.
@@ -727,9 +716,14 @@ class HistoricalDatabase:
         plan with cost-chosen access paths, and executed against the
         catalog's mix of in-memory and stored relations. *params*
         binds ``:name`` parameters in the statement at plan time.
-        *source* is HRQL text, or an already-parsed statement AST for
-        callers that inspected it first (the shell does, to pick
-        session bindings).
+        *source* is HRQL text (text only: the text, with its binding,
+        is the statement's identity in the plan cache).
+
+        The plan comes from the database's one statement cache
+        (:mod:`repro.database.prepared`): a repeated text and binding
+        re-plans only after a commit, and then without re-parsing or
+        re-normalizing. The plan's commit id and the environment it
+        executes on are read together, from one published snapshot.
 
         Returns a typed :class:`~repro.database.result.QueryResult`:
         ``.relation`` for relation answers, ``.lifespan`` for top-level
@@ -739,19 +733,9 @@ class HistoricalDatabase:
         >>> db.query("SELECT WHEN SALARY >= :min IN EMP",
         ...          {"min": 30_000}).relation             # doctest: +SKIP
         """
-        statement = parse_hrql(source) if isinstance(source, str) else source
-        compiled = compile_query(statement, params)
-        env = self._env()
-        if isinstance(compiled, ExplainQuery):
-            return QueryResult(compiled.evaluate(env, normalize=optimize))
-        planner = Planner(normalize=optimize)
-        if isinstance(compiled, WhenQuery):
-            plan = planner.plan(compiled.child, env, when=True)
-        else:
-            plan = planner.plan(compiled, env)
-        # The stream materializes inside QueryResult — the result
-        # object is the pipeline's final breaker.
-        return QueryResult(plan.execute_stream(env), plan)
+        snapshot = self._concurrency.snapshot()
+        planned = self._statements.plan(source, params, optimize, snapshot)
+        return answer(planned.plan, planned.explain, snapshot.env)
 
     def explain(self, source,
                 params: Optional[Mapping[str, Any]] = None, *,
@@ -760,31 +744,27 @@ class HistoricalDatabase:
         """EXPLAIN an HRQL query against the catalog.
 
         Equivalent to :meth:`query` on ``EXPLAIN [ANALYZE] <source>``,
-        as a programmatic API. *source* may itself be an
-        ``EXPLAIN [ANALYZE]`` statement (its ``ANALYZE`` flag is
-        honored alongside the *analyze* argument) or an already-parsed
-        statement AST. *params* binds ``:name`` parameters.
+        as a programmatic API, through the same statement cache.
+        *source* is HRQL text and may itself be an ``EXPLAIN
+        [ANALYZE]`` statement (its ``ANALYZE`` flag is honored
+        alongside the *analyze* argument). *params* binds ``:name``
+        parameters. ``ANALYZE`` records on a fresh copy of the plan,
+        never on the cached one.
         """
-        statement = parse_hrql(source) if isinstance(source, str) else source
-        compiled = compile_query(statement, params)
-        if isinstance(compiled, ExplainQuery):
-            analyze = analyze or compiled.analyze
-            compiled = compiled.child
-        planner = Planner(normalize=optimize)
-        env = self._env()
-        if isinstance(compiled, WhenQuery):
-            return explain_plan(compiled.child, env,
-                                when=True, analyze=analyze, planner=planner)
-        return explain_plan(compiled, env,
-                            analyze=analyze, planner=planner)
+        snapshot = self._concurrency.snapshot()
+        planned = self._statements.plan(source, params, optimize, snapshot)
+        return explain_plan(planned.plan, snapshot.env,
+                            analyze or bool(planned.explain))
 
     def prepare(self, source: str) -> PreparedQuery:
-        """Parse an HRQL query once, for repeated parameterized runs.
+        """A handle on an HRQL query, for repeated parameterized runs.
 
-        The returned :class:`~repro.database.prepared.PreparedQuery`
-        caches the parsed statement and its normalized algebra form per
-        binding, so each execution only re-translates and re-costs —
-        see :meth:`PreparedQuery.query`.
+        Parses once to validate the text and report its ``:name``
+        parameters (``EXPLAIN`` statements are refused — call
+        ``.explain()`` on the handle). The returned
+        :class:`~repro.database.prepared.PreparedQuery` is just the
+        text: each run is :meth:`query` on it, served by the same plan
+        cache as any other call with that text and binding.
 
         >>> ready = db.prepare("SELECT IF SALARY >= :min IN EMP")  # doctest: +SKIP
         >>> ready.query({"min": 30_000}).rows()                    # doctest: +SKIP

@@ -104,8 +104,7 @@ def render_plan(plan: P.Plan) -> str:
 
 
 def explain(expr: E.Expr, env: Mapping[str, object], *, when: bool = False,
-            analyze: bool = False, planner: Optional[Planner] = None
-            ) -> PlanExplanation:
+            analyze: bool = False) -> PlanExplanation:
     """Plan *expr* (optionally execute it) and package the explanation.
 
     Parameters
@@ -118,12 +117,20 @@ def explain(expr: E.Expr, env: Mapping[str, object], *, when: bool = False,
         True when the query is a top-level ``WHEN (...)``.
     analyze:
         Execute the plan and record actual rows / times per node.
-    planner:
-        An optional pre-configured :class:`Planner`.
     """
-    chosen = planner or Planner()
-    plan = chosen.plan(expr, env, when=when)
-    result = None
-    if analyze:
-        result = execute(plan.root, env, record=True)
-    return PlanExplanation(plan, analyze, result)
+    return explain_plan(Planner().plan(expr, env, when=when), env, analyze)
+
+
+def explain_plan(plan: P.Plan, env: Mapping[str, object],
+                 analyze: bool = False) -> PlanExplanation:
+    """Package an existing *plan*; with *analyze*, execute it and record.
+
+    ``ANALYZE`` stamps actual rows and times onto the nodes it runs, so
+    it runs a fresh translation of the plan (:meth:`Planner.replan`),
+    never *plan* itself: a plan that other callers hold — a cached one —
+    must not start reporting one run's actuals as its estimates.
+    """
+    if not analyze:
+        return PlanExplanation(plan, False)
+    fresh = Planner().replan(plan, env)
+    return PlanExplanation(fresh, True, execute(fresh.root, env, record=True))

@@ -91,23 +91,19 @@ class Planner:
         normalized = rewrite(expr, self.rules) if self.normalize else expr
         return self._finish(expr, normalized, env, when, started)
 
-    def plan_normalized(self, normalized: E.Expr, env: Env,
-                        when: bool = False,
-                        logical: Optional[E.Expr] = None) -> P.Plan:
-        """Plan an expression that is already in normal form.
+    def replan(self, prior: P.Plan, env: Env) -> P.Plan:
+        """A fresh physical plan for *prior*'s normalized form over *env*.
 
-        Skips the Section 5 rewrite fixpoint — the expensive,
-        binding-independent phase of planning — and goes straight to
-        translation and costing (which *are* binding- and
-        statistics-dependent: a freshly bound key value can turn a scan
-        into a key lookup, and new data changes the access-path
-        choice). This is how a prepared statement re-plans cheaply per
-        execution: normalize once at prepare time, translate + cost per
-        binding.
+        Skips the Section 5 rewrite fixpoint — the expensive phase,
+        which depends only on the statement and its binding — and
+        redoes translation and costing, which depend on the catalog
+        (new data changes the access-path choice). A cached statement
+        re-plans this way after a commit; ``EXPLAIN ANALYZE`` uses it
+        to stamp its actuals on a tree nobody else holds.
         """
-        started = time.perf_counter()
-        logical = normalized if logical is None else logical
-        return self._finish(logical, normalized, env, when, started)
+        return self._finish(prior.logical, prior.normalized, env,
+                            isinstance(prior.root, P.WhenOp),
+                            time.perf_counter())
 
     def _finish(self, logical: E.Expr, normalized: E.Expr, env: Env,
                 when: bool, started: float) -> P.Plan:

@@ -300,14 +300,10 @@ def execute(line: str, env: HistoricalDatabase,
         params[parts[1].lstrip(":")] = _parse_value(parts[2])
         return f":{parts[1].lstrip(':')} bound"
     try:
-        statement = parse(stripped)
-        needed = ast.parameters(statement)
+        needed = ast.parameters(parse(stripped))
         bindings = {name: params[name] for name in needed if name in params}
-        # A remote session ships the source text (the server re-parses);
-        # an embedded one reuses the already-parsed statement.
-        source = stripped if getattr(env, "remote", False) else statement
         started = time.perf_counter()
-        result = env.query(source, bindings or None)
+        result = env.query(stripped, bindings or None)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         rendered = format_result(result)
         if state is not None and state.get("timing"):

@@ -4,8 +4,10 @@
 :class:`~repro.algebra.expr.Expr` tree (relations), a
 :class:`WhenQuery` wrapper (top-level ``WHEN`` — a lifespan, the
 algebra's second sort), or an :class:`ExplainQuery` wrapper (top-level
-``EXPLAIN`` — a rendered plan). :func:`run` parses, compiles,
-optionally rewrites (the Section 5 laws), and evaluates in one call.
+``EXPLAIN`` — a rendered plan). :func:`plan_statement` is the one
+step from a compiled statement to the cost-based planner.
+:func:`run` parses, compiles, optionally rewrites (the Section 5
+laws), and evaluates naively in one call.
 
 Bind parameters (``:name`` in the surface syntax) are resolved here:
 ``compile_query(ast, params={"min": 30_000})`` substitutes each
@@ -18,7 +20,7 @@ per execution. A missing, unused, or ill-typed binding raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Tuple, Union
 
 from repro.algebra.when import when as when_fn
 from repro.algebra import expr as E
@@ -28,7 +30,8 @@ from repro.algebra.select import EXISTS, FORALL
 from repro.core.errors import BindError, CompileError
 from repro.core.lifespan import ALWAYS, Lifespan
 from repro.core.relation import HistoricalRelation
-from repro.planner.explain import PlanExplanation, explain as explain_fn
+from repro.planner.explain import PlanExplanation, explain_plan
+from repro.planner.plan import Plan
 from repro.planner.planner import Planner
 from repro.query import ast_nodes as ast
 from repro.query.parser import parse
@@ -46,27 +49,36 @@ class WhenQuery:
 
 @dataclass(frozen=True)
 class ExplainQuery:
-    """A compiled ``EXPLAIN [ANALYZE] query`` — evaluates to a plan.
-
-    Evaluation plans the inner query through the cost-based planner
-    (normalizing with the Section 5 laws unless ``normalize=False``)
-    and, with ``analyze``, also executes the plan to record actual row
-    counts and timings.
-    """
+    """A compiled ``EXPLAIN [ANALYZE] query`` — answers with the plan of
+    its inner query (see :func:`plan_statement`) and, with ``analyze``,
+    that plan's actual row counts and timings."""
 
     child: Union[E.Expr, WhenQuery]
     analyze: bool = False
 
-    def evaluate(self, env: Mapping[str, HistoricalRelation],
-                 normalize: bool = True) -> PlanExplanation:
-        planner = Planner(normalize=normalize)
-        if isinstance(self.child, WhenQuery):
-            return explain_fn(self.child.child, env, when=True,
-                              analyze=self.analyze, planner=planner)
-        return explain_fn(self.child, env, analyze=self.analyze, planner=planner)
-
 
 Compiled = Union[E.Expr, WhenQuery, ExplainQuery]
+
+
+def plan_statement(compiled: Compiled, env: Mapping[str, object],
+                   optimize: bool = True) -> Tuple[Plan, Optional[bool]]:
+    """Plan a compiled statement — the one step from HRQL to the planner.
+
+    Returns the physical plan and what the statement asks of it: None
+    to run it, or — for ``EXPLAIN`` — the ``ANALYZE`` flag, the plan
+    then being the inner query's. A top-level ``WHEN`` plans its child
+    under the Ω operator. *optimize* normalizes with the Section 5 laws
+    first. Every planned entry point (the database's statement cache,
+    the shard coordinator's gather, :func:`run`'s ``EXPLAIN``) goes
+    through here.
+    """
+    explain = None
+    if isinstance(compiled, ExplainQuery):
+        compiled, explain = compiled.child, compiled.analyze
+    when = isinstance(compiled, WhenQuery)
+    plan = Planner(normalize=optimize).plan(
+        compiled.child if when else compiled, env, when=when)
+    return plan, explain
 
 
 class _Binder:
@@ -244,7 +256,8 @@ def run(source: str, env: Mapping[str, HistoricalRelation],
     """
     compiled = compile_query(parse(source), params)
     if isinstance(compiled, ExplainQuery):
-        return compiled.evaluate(env, normalize=optimize)
+        plan, analyze = plan_statement(compiled, env, optimize)
+        return explain_plan(plan, env, analyze)
     if isinstance(compiled, WhenQuery):
         child = rewrite(compiled.child) if optimize else compiled.child
         return WhenQuery(child).evaluate(env)

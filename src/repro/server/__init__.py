@@ -25,9 +25,11 @@ The concurrency story is the database's own
 
 Connection sessions are stateful: ``BEGIN`` opens a buffered
 transaction whose ``EXECUTE`` frames accumulate server-side until
-``COMMIT`` / ``ROLLBACK`` (a dropped connection rolls back), and
-``PREPARE`` caches parsed statements for repeated parameterized
-``QUERY`` frames. Frame-by-frame documentation lives in
+``COMMIT`` / ``ROLLBACK`` (a dropped connection rolls back).
+``QUERY`` frames carry HRQL text, planned through the database's one
+text-keyed plan cache, shared by every connection; ``PREPARE`` only
+validates a statement and reports its parameters. Frame-by-frame
+documentation lives in
 ``docs/server.md``; the programmatic client is :mod:`repro.client`;
 ``python -m repro.server PATH`` serves a durable database directory
 from the command line.
@@ -67,14 +69,12 @@ _DEFAULT_WAIT_SECONDS = 1.0
 
 
 class _Connection(FrameConnection):
-    """One client session: transaction and prepared statements."""
+    """One client session: its open transaction, if any."""
 
     def setup(self) -> None:
         super().setup()
         self._bound_db: HistoricalDatabase = self.owner.db
         self.txn = None
-        self.prepared: dict[int, Any] = {}
-        self._next_prepared = 0
 
     @property
     def db(self) -> HistoricalDatabase:
@@ -86,20 +86,14 @@ class _Connection(FrameConnection):
         A long-lived connection must follow that swap — otherwise it
         keeps serving the closed, frozen instance while read-your-writes
         waits are satisfied against the *new* applied LSN, silently
-        breaking the guarantee. Prepared statements are re-bound to the
-        new catalog (dropped if they no longer parse against it); an
-        open transaction built against the replaced history is rolled
-        back and the request refused.
+        breaking the guarantee. Queries (prepared ones included: they
+        arrive as text) simply run on the new catalog; an open
+        transaction built against the replaced history is rolled back
+        and the request refused.
         """
         current = self.owner.db
         if current is not self._bound_db:
             self._bound_db = current
-            stale_prepared, self.prepared = self.prepared, {}
-            for sid, statement in stale_prepared.items():
-                try:
-                    self.prepared[sid] = current.prepare(statement.source)
-                except HRDMError:
-                    pass  # e.g. its relation vanished: the id dies
             stale, self.txn = self.txn, None
             if stale is not None and stale.state == "active":
                 try:
@@ -131,8 +125,8 @@ class _Connection(FrameConnection):
                     f"this server is a read-only "
                     f"{owner.role}: send writes to the primary")
         # Resolve the served database once per request: frames that
-        # never touch it directly (prepared QUERY, ROLLBACK) must still
-        # notice a snapshot-resync swap before their handler runs.
+        # never touch it directly (ROLLBACK) must still notice a
+        # snapshot-resync swap before their handler runs.
         _ = self.db
         return super().dispatch(request)
 
@@ -259,24 +253,15 @@ class _Connection(FrameConnection):
 
     def op_query(self, request: Mapping) -> dict:
         self._maybe_wait(request)
-        params = request.get("params") or None
-        if "prepared" in request:
-            statement = self.prepared.get(request["prepared"])
-            if statement is None:
-                raise protocol.ProtocolError(
-                    f"no prepared statement #{request['prepared']} "
-                    f"on this connection")
-            result = statement.query(params)
-        else:
-            result = self.db.query(request.get("q", ""), params)
-        return protocol.result_to_wire(result)
+        return protocol.result_to_wire(self.db.query(
+            protocol.query_text(request), request.get("params") or None))
 
     def op_prepare(self, request: Mapping) -> dict:
-        statement = self.db.prepare(request.get("q", ""))
-        self._next_prepared += 1
-        self.prepared[self._next_prepared] = statement
-        return {"ok": True, "id": self._next_prepared,
-                "params": list(statement.param_names)}
+        """Validate a statement and report its parameters; nothing is
+        kept — its QUERY frames carry the text, which the database's
+        plan cache already keys on."""
+        statement = self.db.prepare(protocol.query_text(request))
+        return {"ok": True, "params": list(statement.param_names)}
 
     # -- transactions -------------------------------------------------------
 

@@ -53,7 +53,9 @@ from repro.storage import pager as pager_mod
 from repro.storage.engine import decode_tuple, encode_tuple
 
 #: Protocol version spoken by this build (bumped on incompatible change).
-PROTOCOL_VERSION = 1
+#: 2: QUERY always carries its text ``q`` (no ``prepared`` id), and
+#: PREPARE answers ``params`` only (no ``id``).
+PROTOCOL_VERSION = 2
 
 _HEAD = struct.Struct(">I")
 
@@ -195,6 +197,16 @@ def relation_from_wire(raw: Mapping, domains=None) -> HistoricalRelation:
     scheme = pager_mod.scheme_from_dict(raw["scheme"], domains)
     return HistoricalRelation(
         scheme, (tuple_from_wire(blob, scheme) for blob in raw["tuples"]))
+
+
+def query_text(request: Mapping) -> str:
+    """The HRQL text of a QUERY or PREPARE frame. A frame without one
+    (e.g. a protocol-1 client's prepared-statement QUERY) is refused."""
+    if not isinstance(request.get("q"), str):
+        raise ProtocolError(
+            f"{request.get('op', '?').upper()} frame needs the HRQL text "
+            f"'q' (protocol {PROTOCOL_VERSION} keeps no prepared statements)")
+    return request["q"]
 
 
 def result_to_wire(result) -> dict:

@@ -53,9 +53,8 @@ from repro.core.errors import (FencedError, HRDMError, RelationError,
                                ShardingError, TransactionError)
 from repro.core.lifespan import Lifespan
 from repro.core.relation import HistoricalRelation
-from repro.database.result import QueryResult
-from repro.planner.planner import Planner
-from repro.query.compiler import ExplainQuery, WhenQuery, compile_query
+from repro.database.prepared import answer
+from repro.query.compiler import compile_query, plan_statement
 from repro.query.parser import parse as parse_hrql
 from repro.query import ast_nodes as ast
 from repro.server import protocol
@@ -145,16 +144,14 @@ class _CoordConnection(FrameConnection):
     """One client session against the sharded catalog.
 
     Holds its own per-shard links (a connection is single-threaded on
-    both ends, so links need no locking), its open distributed
-    transaction (shard id → enrolled link), and its prepared-statement
-    cache (id → HRQL source, re-routed per execution)."""
+    both ends, so links need no locking) and its open distributed
+    transaction (shard id → enrolled link). Queries — prepared ones
+    included — arrive as text and are routed per execution."""
 
     def setup(self) -> None:
         super().setup()
         self._links: Dict[int, _ShardLink] = {}
         self._txn: Optional[Dict[int, _ShardLink]] = None
-        self._prepared: Dict[int, str] = {}
-        self._next_prepared = 0
         self._rr = 0
 
     def finish(self) -> None:
@@ -285,23 +282,13 @@ class _CoordConnection(FrameConnection):
     # -- querying -----------------------------------------------------------
 
     def op_prepare(self, request: Mapping) -> dict:
-        source = request.get("q", "")
-        statement = parse_hrql(source)  # surface parse errors now
-        self._next_prepared += 1
-        self._prepared[self._next_prepared] = source
-        return {"ok": True, "id": self._next_prepared,
-                "params": list(ast.parameters(statement))}
+        # Parse now to surface errors.
+        statement = parse_hrql(protocol.query_text(request))
+        return {"ok": True, "params": list(ast.parameters(statement))}
 
     def op_query(self, request: Mapping) -> dict:
         params = request.get("params") or None
-        if "prepared" in request:
-            source = self._prepared.get(request["prepared"])
-            if source is None:
-                raise protocol.ProtocolError(
-                    f"no prepared statement #{request['prepared']} "
-                    f"on this connection")
-        else:
-            source = request.get("q", "")
+        source = protocol.query_text(request)
         statement = parse_hrql(source)
         route = route_statement(statement, self.owner.catalog, params)
         frame: Dict[str, Any] = {"op": "query", "q": source}
@@ -337,16 +324,8 @@ class _CoordConnection(FrameConnection):
         env: Dict[str, HistoricalRelation] = {}
         for name in referenced_relations(statement):
             env[name] = self._merged_relation(name)
-        compiled = compile_query(statement, params)
-        if isinstance(compiled, ExplainQuery):
-            return protocol.result_to_wire(QueryResult(compiled.evaluate(env)))
-        planner = Planner()
-        if isinstance(compiled, WhenQuery):
-            plan = planner.plan(compiled.child, env, when=True)
-        else:
-            plan = planner.plan(compiled, env)
-        return protocol.result_to_wire(
-            QueryResult(plan.execute_stream(env), plan))
+        plan, explain = plan_statement(compile_query(statement, params), env)
+        return protocol.result_to_wire(answer(plan, explain, env))
 
     def _merged_relation(self, name: str) -> HistoricalRelation:
         return protocol.relation_from_wire(self.op_relation({"name": name}))

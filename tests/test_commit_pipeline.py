@@ -103,8 +103,7 @@ def _cut(catalog) -> dict:
 
 
 def _counters(db) -> tuple:
-    return (db._concurrency.published_commits, db._version,
-            db._durability.position)
+    return (db._concurrency.published_commits, db._durability.position)
 
 
 def _assert_consistent(db, path: str) -> None:
@@ -149,9 +148,9 @@ class TestCommitContract:
                                                entry_point):
         run, records, publishes = ENTRY_POINTS[entry_point]
         before = _cut(db.relations())
-        published, version, (generation, lsn) = _counters(db)
+        published, (generation, lsn) = _counters(db)
         run(db, storage)
-        assert _counters(db) == (published + publishes, version + publishes,
+        assert _counters(db) == (published + publishes,
                                  (generation, lsn + records))
         assert (_cut(db.relations()) != before) == bool(publishes)
         _assert_consistent(db, path)
